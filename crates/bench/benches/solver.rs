@@ -136,8 +136,9 @@ fn perf_json(wall_ms: f64, p: &SolverPerf) -> String {
 }
 
 /// Head-to-head: the whole vcp_matrix workload with fresh-blaster SAT
-/// decisions vs the shared incremental solver. Writes the comparison to
-/// `BENCH_solver.json` at the repo root (the ISSUE-2 acceptance record).
+/// decisions vs the shared incremental solver. A full run writes the
+/// comparison to `BENCH_solver.json` at the repo root; quick mode only
+/// prints it.
 fn bench_fresh_vs_incremental(c: &mut Criterion) {
     let nfuncs = if quick_mode() {
         2
@@ -157,11 +158,10 @@ fn bench_fresh_vs_incremental(c: &mut Criterion) {
         fresh_ms / inc_ms.max(1e-9),
         inc.conflicts as f64 / (fresh.conflicts as f64).max(1.0),
     );
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_solver.json");
-    std::fs::write(path, &json).expect("write BENCH_solver.json");
+    esh_core::publish_bench_json("solver", &json, !quick_mode()).expect("publish BENCH_solver");
     println!(
         "vcp_matrix workload ({nfuncs} funcs): fresh {fresh_ms:.1} ms / {} conflicts, \
-         incremental {inc_ms:.1} ms / {} conflicts -> {path}",
+         incremental {inc_ms:.1} ms / {} conflicts",
         fresh.conflicts, inc.conflicts,
     );
 

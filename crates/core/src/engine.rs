@@ -8,6 +8,7 @@
 //! work-stealing queue and memoizes verifier results in a cross-query
 //! [`VcpCache`]. Corpus state persists via [`crate::snapshot`].
 
+use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::fmt;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
@@ -1054,8 +1055,8 @@ impl SimilarityEngine {
     ///
     /// Work is distributed dynamically: the flattened `(batch item, query
     /// strand, class-range)` tile space is consumed through one atomic
-    /// cursor, so workers that land on cheap tiles (size-ratio or
-    /// prefilter rejections, cache hits) immediately steal more instead of
+    /// cursor, so workers that land on cheap tiles (pairs the
+    /// [`PairPricer`] skips, cache hits) immediately steal more instead of
     /// idling behind a static split — and tiles of different batch items
     /// interleave freely. Results for pairs that reach the verifier are
     /// memoized in the cross-query [`VcpCache`]. Cancellation stays
@@ -1064,18 +1065,19 @@ impl SimilarityEngine {
     /// by the caller.
     /// On a lazily backed engine the same pass is the **fan-out** step:
     /// the flat tile space already spans every shard's class range, a
-    /// pair that survives pricing pulls its shard (procedures + cache
-    /// segment) into memory via [`ensure_class_shard`]
-    /// (Self::ensure_class_shard), and `touched` records which `(item,
-    /// shard)` pairs were consulted. The final row copy-back below is the
-    /// merge step — because shards partition the class index space in
-    /// order, it concatenates per-shard submatrices into exactly the
-    /// matrix a resident engine computes, bit for bit.
+    /// pair that survives pricing opens its shard (procedures + cache
+    /// segment) via [`ensure_class_shard`](Self::ensure_class_shard) and
+    /// decodes its class record only on a cache miss, and the pricer's
+    /// `touched` records which `(item, shard)` pairs were consulted. The
+    /// final row copy-back below is the merge step — because shards
+    /// partition the class index space in order, it concatenates
+    /// per-shard submatrices into exactly the matrix a resident engine
+    /// computes, bit for bit.
     fn vcp_matrix_batch(
         &self,
         queries: &[Option<Vec<QueryStrand>>],
         cancels: &[&CancelToken],
-        touched: &ShardTouch,
+        pricer: &PairPricer<'_>,
     ) -> (Vec<Vec<Vec<VcpPair>>>, Vec<Option<ShardError>>) {
         let threads = if self.config.threads == 0 {
             std::thread::available_parallelism()
@@ -1114,216 +1116,6 @@ impl SimilarityEngine {
         let cursor = AtomicUsize::new(0);
         let vcp_fp = self.config.vcp.fingerprint();
         let workers = threads.max(1).min(total_tiles);
-        // Sketch tier context, resolved once before the workers spawn: the
-        // LSH index over corpus sketches, one candidate mask per query
-        // strand of every item (mask[ci] = class ci shares a band → exact
-        // verify), and one batch-wide cache of probe sketches keyed by
-        // structural hash — ambiguous pairs re-sketch per *strand*, not
-        // per pair, so each side is probed at most once per batch no
-        // matter how many ambiguous pairs (or batch items) it
-        // participates in.
-        struct SketchCtx {
-            index: Arc<SketchIndex>,
-            masks: Vec<Vec<Option<Vec<bool>>>>,
-            margin: f64,
-            window: f64,
-            cfg: PrefilterConfig,
-            probes: Mutex<HashMap<u64, Arc<SemanticSketch>>>,
-        }
-        impl SketchCtx {
-            /// The cached probe sketch for the strand hashed `key`,
-            /// computing it under the cache lock on first use (serializing
-            /// duplicate computes is cheaper than racing the concrete
-            /// evaluation). `compute` is fallible so a corrupted shard on
-            /// the class side surfaces instead of panicking — and runs
-            /// only on a cache miss, preserving shard-load laziness.
-            fn probed(
-                &self,
-                key: u64,
-                compute: impl FnOnce() -> Result<SemanticSketch, ShardError>,
-            ) -> Result<Arc<SemanticSketch>, ShardError> {
-                let mut map = self.probes.lock().expect("probe cache poisoned");
-                match map.get(&key) {
-                    Some(s) => Ok(s.clone()),
-                    None => {
-                        let s = Arc::new(compute()?);
-                        map.insert(key, s.clone());
-                        Ok(s)
-                    }
-                }
-            }
-        }
-        let sketch_ctx: Option<SketchCtx> = self.ensure_sketch_index().map(|index| {
-            let masks = queries
-                .iter()
-                .map(|q| {
-                    q.as_ref().map_or_else(Vec::new, |q| {
-                        q.iter()
-                            .map(|s| s.sketch.as_ref().map(|s| index.candidates(s)))
-                            .collect()
-                    })
-                })
-                .collect();
-            let cfg = self
-                .config
-                .active_sketch()
-                .cloned()
-                .unwrap_or_default();
-            SketchCtx {
-                index,
-                masks,
-                margin: cfg.exact_fallback_margin,
-                window: cfg.probe_window(),
-                cfg,
-                probes: Mutex::new(HashMap::new()),
-            }
-        });
-        let sketch_ctx = &sketch_ctx;
-        // Whole-shard pruning (sub-linear fan-out): when the index shipped
-        // per-shard band summaries, decide per `(item, shard)` — before
-        // any per-cell work — whether every cell of the shard is provably
-        // sketch-pruned ([`ShardBandSummary::can_skip`]). Skipped cells
-        // stay at `VcpPair::default()`, exactly the value the per-cell
-        // Prune path leaves, so matrices, H0 and scores are byte-identical
-        // to the full fan-out; only the pricing CPU (and the prefilter
-        // observability counters) are saved. The proof needs every strand
-        // of the item sketched and `margin > window`; anything else keeps
-        // the full fan-out.
-        let shard_skip: Option<(Vec<u32>, Vec<Vec<bool>>)> =
-            self.shards.as_ref().and_then(|lazy| {
-                let summaries = lazy.summaries.as_ref()?;
-                let ctx = sketch_ctx.as_ref()?;
-                if ctx.margin <= ctx.window {
-                    return None;
-                }
-                let limit = lazy.class_limit();
-                let class_shard: Vec<u32> =
-                    (0..limit).map(|ci| lazy.shard_of_class(ci) as u32).collect();
-                let skip: Vec<Vec<bool>> = queries
-                    .iter()
-                    .map(|q| {
-                        let all_sketched = q
-                            .as_ref()
-                            .is_some_and(|q| q.iter().all(|s| s.sketch.is_some()));
-                        if !all_sketched {
-                            return vec![false; summaries.len()];
-                        }
-                        let strands = q.as_ref().expect("checked above");
-                        let keys: Vec<Vec<u64>> = strands
-                            .iter()
-                            .map(|s| {
-                                s.sketch
-                                    .as_ref()
-                                    .expect("checked above")
-                                    .band_keys(ctx.cfg.bands, ctx.cfg.rows)
-                            })
-                            .collect();
-                        summaries
-                            .iter()
-                            .map(|sum| {
-                                strands.iter().zip(&keys).all(|(s, k)| {
-                                    sum.can_skip(
-                                        s.sketch.as_ref().expect("checked above"),
-                                        k,
-                                        ctx.margin,
-                                        ctx.window,
-                                    )
-                                })
-                            })
-                            .collect()
-                    })
-                    .collect();
-                let pruned: u64 = skip
-                    .iter()
-                    .map(|row| row.iter().filter(|&&s| s).count() as u64)
-                    .sum();
-                lazy.add_pruned(pruned);
-                Some((class_shard, skip))
-            });
-        let shard_skip = &shard_skip;
-        // Demand-decode fan-out planner: before the tile workers start,
-        // sweep the (item, strand, class) space with the *cheap* pricing
-        // filters only — whole-shard prune, LSH candidate mask, size
-        // ratio, signature overlap — and pre-decode the surviving
-        // classes whose memoized verdict is not already cached, spread
-        // across the same worker pool the tiles use. Purely an
-        // optimization: the plan is conservative (a class it misses
-        // decodes on demand inside its tile; a class it over-includes
-        // wastes one decode), a decode never touches a VCP counter, and
-        // decode errors are swallowed here so the authoritative tile
-        // pass latches the typed corruption error for exactly the items
-        // that touch the bad record.
-        if let Some(lazy) = self.shards.as_ref().filter(|l| !l.eager) {
-            let limit = lazy.class_limit().min(nc);
-            let mut plan: Vec<(usize, Vec<u64>)> = Vec::new();
-            for ci in 0..limit {
-                let class = &self.classes[ci];
-                let mut hashes: Vec<u64> = Vec::new();
-                for (b, q) in queries_ref.iter().enumerate() {
-                    let Some(query) = q else { continue };
-                    if cancels[b].is_cancelled() {
-                        continue;
-                    }
-                    if let Some((class_shard, skip)) = shard_skip {
-                        if ci < class_shard.len() && skip[b][class_shard[ci] as usize] {
-                            continue;
-                        }
-                    }
-                    for (qi, qs) in query.iter().enumerate() {
-                        if !size_ratio_ok(&self.config.vcp, qs.vars, class.vars) {
-                            continue;
-                        }
-                        if self.config.prefilter {
-                            let fwd = qs.signature.overlap_bound(&class.signature);
-                            let bwd = class.signature.overlap_bound(&qs.signature);
-                            if fwd < self.config.prefilter_threshold
-                                && bwd < self.config.prefilter_threshold
-                            {
-                                continue;
-                            }
-                        }
-                        if let Some(ctx) = sketch_ctx {
-                            if let (Some(mask), Some(_)) = (&ctx.masks[b][qi], &qs.sketch) {
-                                if !mask[ci] {
-                                    continue;
-                                }
-                            }
-                        }
-                        if !hashes.contains(&qs.hash) {
-                            hashes.push(qs.hash);
-                        }
-                    }
-                }
-                if !hashes.is_empty() {
-                    plan.push((ci, hashes));
-                }
-            }
-            if !plan.is_empty() {
-                let plan = &plan;
-                let plan_cursor = AtomicUsize::new(0);
-                let decode_workers = workers.min(plan.len());
-                std::thread::scope(|scope| {
-                    for _ in 0..decode_workers {
-                        let plan_cursor = &plan_cursor;
-                        scope.spawn(move || loop {
-                            let i = plan_cursor.fetch_add(1, Ordering::Relaxed);
-                            let Some(&(ci, ref hashes)) = plan.get(i) else { break };
-                            let shard = lazy.shard_of_class(ci);
-                            if lazy.ensure_loaded(shard, &self.cache).is_err() {
-                                continue;
-                            }
-                            let ch = self.classes[ci].hash;
-                            if hashes
-                                .iter()
-                                .any(|&qh| self.cache.peek(&(qh, ch, vcp_fp)).is_none())
-                            {
-                                let _ = lazy.proc_ref(ci, &self.cache);
-                            }
-                        });
-                    }
-                });
-            }
-        }
         let shard_errors_ref = &shard_errors;
         let tiles: Vec<(usize, usize, usize, Vec<VcpPair>)> = std::thread::scope(|scope| {
             let handles: Vec<_> = (0..workers)
@@ -1333,7 +1125,6 @@ impl SimilarityEngine {
                     let classes = &self.classes;
                     let cache = &self.cache;
                     let solver = &self.solver;
-                    let prefilter_stats = &self.prefilter_stats;
                     scope.spawn(move || {
                         let mut session = self.checkout_session();
                         let perf0 = session.stats().solver;
@@ -1364,128 +1155,21 @@ impl SimilarityEngine {
                             let mut row = vec![VcpPair::default(); end - start];
                             for (k, class) in classes[start..end].iter().enumerate() {
                                 let ci = start + k;
-                                // Whole-shard prune: provably equivalent to
-                                // the per-cell Prune below, decided without
-                                // touching the class.
-                                if let Some((class_shard, skip)) = shard_skip {
-                                    if ci < class_shard.len()
-                                        && skip[b][class_shard[ci] as usize]
-                                    {
-                                        continue;
-                                    }
-                                }
-                                if !size_ratio_ok(&config.vcp, q.vars, class.vars) {
-                                    continue;
-                                }
-                                if config.prefilter {
-                                    let fwd = q.signature.overlap_bound(&class.signature);
-                                    let bwd = class.signature.overlap_bound(&q.signature);
-                                    if fwd < config.prefilter_threshold
-                                        && bwd < config.prefilter_threshold
-                                    {
-                                        continue;
-                                    }
-                                }
-                                // Sketch tier pricing. Every pair is priced
-                                // by its containment bounds: both below the
-                                // margin drops the pair to the zero pair,
-                                // same as a legacy-signature rejection
-                                // above (sound: the bounds never
-                                // underestimate VCP, so no pair at or above
-                                // the margin is ever skipped — and a
-                                // below-margin pair contributes the
-                                // no-evidence likelihood floor rather than
-                                // an inflated estimate). Bounds inside the
-                                // ambiguity window around the margin
-                                // re-sketch both strands on extra probe
-                                // vectors and re-apply the margin to the
-                                // refined bounds; anything else goes to the
-                                // exact verifier. An LSH band collision is
-                                // recorded for observability; under the
-                                // pre-probe rule (no ambiguity window —
-                                // pre-v4 snapshot configs) a collision
-                                // still forces exact verification, while
-                                // staged pricing lets the margin prune
-                                // spurious band matches too (a true
-                                // same-source pair has bound 1.0 and always
-                                // verifies either way).
-                                if let Some(ctx) = sketch_ctx {
-                                    if let (Some(mask), Some(qs)) = (&ctx.masks[b][qi], &q.sketch) {
-                                        let collided = mask[ci];
-                                        if collided {
-                                            prefilter_stats.record_collision();
-                                        }
-                                        if !collided || ctx.window > 0.0 {
-                                            let ts = ctx.index.sketch(ci);
-                                            let c_q = qs.containment_in(ts);
-                                            let c_t = ts.containment_in(qs);
-                                            match bounds_decision(
-                                                c_q, c_t, ctx.margin, ctx.window,
-                                            ) {
-                                                SketchDecision::Prune => {
-                                                    prefilter_stats.record_pruned();
-                                                    continue;
-                                                }
-                                                SketchDecision::Probe => {
-                                                    prefilter_stats.record_probe();
-                                                    let pair = ctx
-                                                        .probed(q.hash, || {
-                                                            Ok(compute_probe_sketch(
-                                                                &q.proc_, &ctx.cfg,
-                                                            ))
-                                                        })
-                                                        .and_then(|pq| {
-                                                            let pt = ctx.probed(class.hash, || {
-                                                                if let Some(s) =
-                                                                    self.ensure_class_shard(ci)?
-                                                                {
-                                                                    touched.mark(b, s);
-                                                                }
-                                                                let tp =
-                                                                    self.class_proc_checked(ci)?;
-                                                                Ok(compute_probe_sketch(
-                                                                    &tp, &ctx.cfg,
-                                                                ))
-                                                            })?;
-                                                            Ok((pq, pt))
-                                                        });
-                                                    let (pq, pt) = match pair {
-                                                        Ok(p) => p,
-                                                        Err(e) => {
-                                                            let _ = shard_errors_ref[b].set(e);
-                                                            continue;
-                                                        }
-                                                    };
-                                                    let r_q = pq.containment_in(&pt);
-                                                    let r_t = pt.containment_in(&pq);
-                                                    if r_q < ctx.margin && r_t < ctx.margin {
-                                                        prefilter_stats.record_pruned();
-                                                        continue;
-                                                    }
-                                                    prefilter_stats.record_probe_escalation();
-                                                    prefilter_stats.record_fallback();
-                                                }
-                                                SketchDecision::Exact => {
-                                                    prefilter_stats.record_fallback();
-                                                }
-                                            }
-                                        }
-                                    }
-                                }
-                                // The pair survived pricing: open its
+                                // A pair that survives pricing opens its
                                 // shard *before* the counted lookup so the
                                 // persisted cache segment can answer it
                                 // (open-before-lookup invariant). The
                                 // class record itself is only decoded on a
                                 // miss — a cache hit never pays the
                                 // decode.
-                                match self.ensure_class_shard(ci) {
-                                    Ok(Some(s)) => touched.mark(b, s),
-                                    Ok(None) => {}
-                                    Err(e) => {
-                                        let _ = shard_errors_ref[b].set(e);
-                                        continue;
-                                    }
+                                let opened = match pricer.price_pair(b, qi, q, ci) {
+                                    Ok(Price::Skip) => continue,
+                                    Ok(Price::Verify) => pricer.open_class(b, ci),
+                                    Err(e) => Err(e),
+                                };
+                                if let Err(e) = opened {
+                                    let _ = shard_errors_ref[b].set(e);
+                                    continue;
                                 }
                                 let key = (q.hash, class.hash, vcp_fp);
                                 row[k] = match cache.get(&key) {
@@ -1598,10 +1282,10 @@ impl SimilarityEngine {
             items.len(),
             self.shards.as_ref().map_or(0, |l| l.shard_count()),
         );
-        let (matrices, shard_errors) = self.vcp_matrix_batch(&prepared, &cancels, &touched);
-        // Refine resources shared across the batch: one verifier session,
-        // one probe-sketch cache (probe sketches are pure per strand, so
-        // sharing them across items cannot change any item's result).
+        let pricer = PairPricer::new(self, &prepared, &touched);
+        let (matrices, shard_errors) = self.vcp_matrix_batch(&prepared, &cancels, &pricer);
+        // Refine shares the pricer's probe-sketch cache with the matrix
+        // pass and checks out one verifier session for the whole batch.
         let refine_enabled = self
             .config
             .active_sketch()
@@ -1613,7 +1297,6 @@ impl SimilarityEngine {
             let perf0 = s.stats().solver;
             (s, perf0)
         });
-        let mut probes: HashMap<u64, SemanticSketch> = HashMap::new();
         let mut results = Vec::with_capacity(items.len());
         for (i, it) in items.iter().enumerate() {
             let (Some(query), matrix) = (&prepared[i], &matrices[i]) else {
@@ -1636,9 +1319,8 @@ impl SimilarityEngine {
                     &mut scores,
                     &it.cancel,
                     session,
-                    &mut probes,
+                    &pricer,
                     i,
-                    &touched,
                 ),
                 None => Ok(()),
             };
@@ -1786,8 +1468,8 @@ impl SimilarityEngine {
     /// that H0 offset, identically for every window target).
     ///
     /// Terminates because the refined-target set grows monotonically and
-    /// is bounded by the corpus. No-op when the sketch tier or
-    /// [`PrefilterConfig::refine_top_k`] is off.
+    /// is bounded by the corpus. Only called with the sketch tier built
+    /// and [`PrefilterConfig::refine_top_k`] on.
     #[allow(clippy::too_many_arguments)]
     fn refine_served_window(
         &self,
@@ -1796,20 +1478,14 @@ impl SimilarityEngine {
         scores: &mut [TargetScore],
         cancel: &CancelToken,
         session: &mut VerifierSession,
-        probes: &mut HashMap<u64, SemanticSketch>,
+        pricer: &PairPricer<'_>,
         item: usize,
-        touched: &ShardTouch,
     ) -> Result<(), QueryError> {
-        let Some(cfg) = self.config.active_sketch().cloned() else {
-            return Ok(());
-        };
-        let k = cfg.effective_refine_top_k();
-        if k == 0 || query.is_empty() || self.targets.is_empty() {
+        if query.is_empty() {
             return Ok(());
         }
-        if self.ensure_sketch_index().is_none() {
-            return Ok(());
-        }
+        let cfg = self.config.active_sketch();
+        let k = cfg.map_or(0, |c| c.effective_refine_top_k());
         // Frozen at the estimated matrix (see the method docs): every
         // refined score shares these accumulators, keeping responses
         // cache-state-independent.
@@ -1817,12 +1493,11 @@ impl SimilarityEngine {
         let vcp_fp = self.config.vcp.fingerprint();
         let mut refined_targets = vec![false; self.targets.len()];
         let mut refined_pairs = 0u64;
-        // Probe sketches (base battery + probe rounds) for refine's
-        // bounds, cached per strand (by structural hash, shared across a
-        // whole batch of queries): a few extra concrete-eval rounds per
-        // side buy the tightest available upper bound, and every
-        // tightened bound is another chance to dominance-skip an exact
-        // verification.
+        // Refine bounds pruned cells with probe sketches (base battery +
+        // probe rounds) from the pricer's batch-wide cache: a few extra
+        // concrete-eval rounds per side buy the tightest available upper
+        // bound, and every tightened bound is another chance to
+        // dominance-skip an exact verification.
         self.prefilter_stats.record_refine_pass();
         let outcome = 'refine: loop {
             // The served window under the current scores — the same order
@@ -1866,27 +1541,20 @@ impl SimilarityEngine {
                 for &(ci, _) in strands {
                     let class = &self.classes[ci];
                     for (qi, q) in query.iter().enumerate() {
-                        if !size_ratio_ok(&self.config.vcp, q.vars, class.vars) {
+                        if !PairPricer::cheap_filters_pass(
+                            &self.config,
+                            (q.vars, &q.signature),
+                            (class.vars, &class.signature),
+                        ) {
                             continue;
-                        }
-                        if self.config.prefilter {
-                            let fwd = q.signature.overlap_bound(&class.signature);
-                            let bwd = class.signature.overlap_bound(&q.signature);
-                            if fwd < self.config.prefilter_threshold
-                                && bwd < self.config.prefilter_threshold
-                            {
-                                continue;
-                            }
                         }
                         // The window scan must see the persisted cache
                         // segment of every class it peeks, so the shard
                         // opens first (open-before-lookup) — and counts
                         // toward this item's fan-out. The record itself
                         // stays undecoded unless the peek misses.
-                        match self.ensure_class_shard(ci) {
-                            Ok(Some(s)) => touched.mark(item, s),
-                            Ok(None) => {}
-                            Err(e) => break 'refine Err(QueryError::Corrupted(e)),
+                        if let Err(e) = pricer.open_class(item, ci) {
+                            break 'refine Err(QueryError::Corrupted(e));
                         }
                         let key = (q.hash, class.hash, vcp_fp);
                         // `peek`, not `get`: this scan separates known from
@@ -1898,24 +1566,10 @@ impl SimilarityEngine {
                             *m = m.max(v.t_in_q);
                         } else {
                             let (c_q, c_t) = if q.sketch.is_some() {
-                                probes
-                                    .entry(q.hash)
-                                    .or_insert_with(|| compute_probe_sketch(&q.proc_, &cfg));
-                                if let std::collections::hash_map::Entry::Vacant(slot) =
-                                    probes.entry(class.hash)
-                                {
-                                    // Fallible decode: under demand
-                                    // decoding this may be the first time
-                                    // the record's bytes are checksummed.
-                                    let pt = match self.class_proc_checked(ci) {
-                                        Ok(p) => compute_probe_sketch(&p, &cfg),
-                                        Err(e) => break 'refine Err(QueryError::Corrupted(e)),
-                                    };
-                                    slot.insert(pt);
+                                match pricer.probe_bounds(item, q, ci) {
+                                    Ok(bounds) => bounds,
+                                    Err(e) => break 'refine Err(QueryError::Corrupted(e)),
                                 }
-                                let pq = &probes[&q.hash];
-                                let pt = &probes[&class.hash];
-                                (pq.containment_in(pt), pt.containment_in(pq))
                             } else {
                                 // No sketch to bound with: always verify.
                                 (1.0, 1.0)
@@ -2028,15 +1682,12 @@ impl SimilarityEngine {
                 continue;
             }
             let (qa, qb) = (&self.classes[a], &self.classes[b]);
-            if !size_ratio_ok(&self.config.vcp, qa.vars, qb.vars) {
+            if !PairPricer::cheap_filters_pass(
+                &self.config,
+                (qa.vars, &qa.signature),
+                (qb.vars, &qb.signature),
+            ) {
                 continue;
-            }
-            if self.config.prefilter {
-                let fwd = qa.signature.overlap_bound(&qb.signature);
-                let bwd = qb.signature.overlap_bound(&qa.signature);
-                if fwd < self.config.prefilter_threshold && bwd < self.config.prefilter_threshold {
-                    continue;
-                }
             }
             for i in [a, b] {
                 sketches.entry(i).or_insert_with(|| match &self.classes[i].sketch {
@@ -2100,6 +1751,263 @@ impl SimilarityEngine {
     /// every request claim the whole machine.
     pub fn set_threads(&mut self, threads: usize) {
         self.config.threads = threads;
+    }
+}
+
+/// What the pricing ladder decided for one `(query strand, class)` pair.
+enum Price {
+    /// Priced without the verifier: the cell keeps `VcpPair::default()`,
+    /// the value a pair provably below the margin contributes.
+    Skip,
+    /// Survived every rung: look the pair up in the VCP cache and verify
+    /// it on a miss.
+    Verify,
+}
+
+/// The sketch tier's per-batch context: the LSH index over corpus
+/// sketches and one candidate mask per query strand of every item
+/// (`mask[ci]` = class `ci` shares a band with the strand).
+struct SketchCtx {
+    index: Arc<SketchIndex>,
+    masks: Vec<Vec<Option<Vec<bool>>>>,
+    margin: f64,
+    window: f64,
+    cfg: PrefilterConfig,
+}
+
+/// The per-pair pricing ladder of one batch, resolved once before any
+/// worker starts: whole-shard skip → size ratio → signature overlap → LSH
+/// mask and containment bounds → probe. It is the only place that counts
+/// per-pair [`PrefilterStats`], and it owns the batch's single probe-sketch
+/// cache, shared by the matrix pass and the refine pass. Probe sketches
+/// are keyed by structural hash and depend only on the strand and the
+/// config, so each side is probed at most once per batch and sharing them
+/// across passes and items cannot change any result.
+struct PairPricer<'e> {
+    engine: &'e SimilarityEngine,
+    sketch: Option<SketchCtx>,
+    /// Whole-shard pruning: the shard of every sharded class, and per item
+    /// which shards [`ShardBandSummary::can_skip`] proves silent.
+    shard_skip: Option<(Vec<u32>, Vec<Vec<bool>>)>,
+    probes: Mutex<HashMap<u64, SemanticSketch>>,
+    /// Which `(item, shard)` pairs the batch consulted (its fan-out).
+    touched: &'e ShardTouch,
+}
+
+impl<'e> PairPricer<'e> {
+    fn new(
+        engine: &'e SimilarityEngine,
+        queries: &[Option<Vec<QueryStrand>>],
+        touched: &'e ShardTouch,
+    ) -> PairPricer<'e> {
+        // A batch with no pair to price (empty corpus, every item
+        // cancelled or strandless) builds no index and prunes no shard.
+        let live = !engine.classes.is_empty() && queries.iter().flatten().any(|q| !q.is_empty());
+        let index = live.then(|| engine.ensure_sketch_index()).flatten();
+        let sketch = index.map(|index| {
+            let masks = queries
+                .iter()
+                .map(|q| {
+                    q.as_ref().map_or_else(Vec::new, |q| {
+                        q.iter()
+                            .map(|s| s.sketch.as_ref().map(|s| index.candidates(s)))
+                            .collect()
+                    })
+                })
+                .collect();
+            let cfg = engine.config.active_sketch().cloned().unwrap_or_default();
+            SketchCtx {
+                index,
+                masks,
+                margin: cfg.exact_fallback_margin,
+                window: cfg.probe_window(),
+                cfg,
+            }
+        });
+        // Whole-shard pruning (sub-linear fan-out): when the index shipped
+        // per-shard band summaries, decide per `(item, shard)` — before
+        // any per-cell work — whether every cell of the shard is provably
+        // sketch-pruned. Skipped cells stay at `VcpPair::default()`,
+        // exactly what the per-cell Prune rung leaves, so matrices, H0 and
+        // scores are byte-identical to the full fan-out; only the pricing
+        // CPU (and the prefilter counters) are saved. The proof needs
+        // every strand of the item sketched and `margin > window`;
+        // anything else keeps the full fan-out.
+        let shard_skip = engine.shards.as_ref().and_then(|lazy| {
+            let summaries = lazy.summaries.as_ref()?;
+            let ctx = sketch.as_ref()?;
+            if ctx.margin <= ctx.window {
+                return None;
+            }
+            let class_shard: Vec<u32> = (0..lazy.class_limit())
+                .map(|ci| lazy.shard_of_class(ci) as u32)
+                .collect();
+            let skip: Vec<Vec<bool>> = queries
+                .iter()
+                .map(|q| {
+                    let sketches: Option<Vec<&SemanticSketch>> = q
+                        .as_ref()
+                        .and_then(|q| q.iter().map(|s| s.sketch.as_ref()).collect());
+                    let Some(sketches) = sketches else {
+                        return vec![false; summaries.len()];
+                    };
+                    let keys: Vec<Vec<u64>> = sketches
+                        .iter()
+                        .map(|s| s.band_keys(ctx.cfg.bands, ctx.cfg.rows))
+                        .collect();
+                    summaries
+                        .iter()
+                        .map(|sum| {
+                            sketches
+                                .iter()
+                                .zip(&keys)
+                                .all(|(s, k)| sum.can_skip(s, k, ctx.margin, ctx.window))
+                        })
+                        .collect()
+                })
+                .collect();
+            lazy.add_pruned(skip.iter().flatten().filter(|&&s| s).count() as u64);
+            Some((class_shard, skip))
+        });
+        PairPricer {
+            engine,
+            sketch,
+            shard_skip,
+            probes: Mutex::new(HashMap::new()),
+            touched,
+        }
+    }
+
+    /// The ladder's cheap rungs, shared with refine and calibration: the
+    /// §5.5 size ratio, then the signature-overlap prefilter (the pair
+    /// survives when either direction reaches the threshold).
+    fn cheap_filters_pass(
+        config: &EngineConfig,
+        (a_vars, a_sig): (usize, &Signature),
+        (b_vars, b_sig): (usize, &Signature),
+    ) -> bool {
+        if !size_ratio_ok(&config.vcp, a_vars, b_vars) {
+            return false;
+        }
+        let th = config.prefilter_threshold;
+        let below = |x: &Signature, y: &Signature| x.overlap_bound(y) < th;
+        !(config.prefilter && below(a_sig, b_sig) && below(b_sig, a_sig))
+    }
+
+    /// Opens class `ci`'s shard (see
+    /// [`ensure_class_shard`](SimilarityEngine::ensure_class_shard)) and
+    /// counts it toward item `item`'s fan-out.
+    fn open_class(&self, item: usize, ci: usize) -> Result<(), ShardError> {
+        if let Some(s) = self.engine.ensure_class_shard(ci)? {
+            self.touched.mark(item, s);
+        }
+        Ok(())
+    }
+
+    /// Prices query strand `qi` of batch item `item` against class `ci`.
+    ///
+    /// Sketch pricing prices every pair by its containment bounds: both
+    /// below the margin skips the pair, same as a signature rejection
+    /// (sound: the bounds never underestimate VCP, so no pair at or
+    /// above the margin is ever skipped — and a below-margin pair
+    /// contributes the no-evidence likelihood floor rather than an
+    /// inflated estimate). Bounds inside the ambiguity window around the
+    /// margin re-sketch both strands on extra probe vectors and re-apply
+    /// the margin to the refined bounds; anything else is verified. An
+    /// LSH band collision is counted for observability; under the
+    /// pre-probe rule (no ambiguity window — pre-v4 snapshot configs) a
+    /// collision still forces verification, while staged pricing lets
+    /// the margin skip spurious band matches too (a true same-source
+    /// pair has bound 1.0 and always verifies either way).
+    ///
+    /// Fails only when probing needs a class record from a corrupted
+    /// shard.
+    fn price_pair(
+        &self,
+        item: usize,
+        qi: usize,
+        q: &QueryStrand,
+        ci: usize,
+    ) -> Result<Price, ShardError> {
+        if let Some((class_shard, skip)) = &self.shard_skip {
+            if ci < class_shard.len() && skip[item][class_shard[ci] as usize] {
+                return Ok(Price::Skip);
+            }
+        }
+        let engine = self.engine;
+        let class = &engine.classes[ci];
+        if !Self::cheap_filters_pass(
+            &engine.config,
+            (q.vars, &q.signature),
+            (class.vars, &class.signature),
+        ) {
+            return Ok(Price::Skip);
+        }
+        let Some(ctx) = &self.sketch else {
+            return Ok(Price::Verify);
+        };
+        let (Some(mask), Some(qs)) = (&ctx.masks[item][qi], &q.sketch) else {
+            return Ok(Price::Verify);
+        };
+        let stats = &engine.prefilter_stats;
+        let collided = mask[ci];
+        if collided {
+            stats.record_collision();
+        }
+        if collided && ctx.window <= 0.0 {
+            return Ok(Price::Verify);
+        }
+        let ts = ctx.index.sketch(ci);
+        let (c_q, c_t) = (qs.containment_in(ts), ts.containment_in(qs));
+        match bounds_decision(c_q, c_t, ctx.margin, ctx.window) {
+            SketchDecision::Prune => {
+                stats.record_pruned();
+                Ok(Price::Skip)
+            }
+            SketchDecision::Exact => {
+                stats.record_fallback();
+                Ok(Price::Verify)
+            }
+            SketchDecision::Probe => {
+                stats.record_probe();
+                let (r_q, r_t) = self.probe_bounds(item, q, ci)?;
+                if r_q < ctx.margin && r_t < ctx.margin {
+                    stats.record_pruned();
+                    return Ok(Price::Skip);
+                }
+                stats.record_probe_escalation();
+                stats.record_fallback();
+                Ok(Price::Verify)
+            }
+        }
+    }
+
+    /// Probe-sketch containment bounds `(q in class, class in q)` for
+    /// the pair. Each side's probe sketch is computed at most once per
+    /// batch, under the cache lock (serializing duplicate computes is
+    /// cheaper than racing the concrete evaluation). On a class-side miss
+    /// the class's shard opens for item `item` and its record decodes —
+    /// fallibly, since under demand decoding this may be the first time
+    /// its bytes are checksummed. A hit touches no shard.
+    fn probe_bounds(
+        &self,
+        item: usize,
+        q: &QueryStrand,
+        ci: usize,
+    ) -> Result<(f64, f64), ShardError> {
+        let cfg = self.engine.config.active_sketch().expect("sketch tier off");
+        let class = &self.engine.classes[ci];
+        let mut probes = self.probes.lock().expect("probe cache poisoned");
+        probes
+            .entry(q.hash)
+            .or_insert_with(|| compute_probe_sketch(&q.proc_, cfg));
+        if let Entry::Vacant(slot) = probes.entry(class.hash) {
+            self.open_class(item, ci)?;
+            let tp = self.engine.class_proc_checked(ci)?;
+            slot.insert(compute_probe_sketch(&tp, cfg));
+        }
+        let (pq, pt) = (&probes[&q.hash], &probes[&class.hash]);
+        Ok((pq.containment_in(pt), pt.containment_in(pq)))
     }
 }
 

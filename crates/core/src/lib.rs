@@ -64,6 +64,7 @@
 //! assert_eq!(v.q_in_t, 1.0); // same computation, different registers
 //! ```
 
+mod bench_record;
 mod cache;
 mod engine;
 pub mod prefilter;
@@ -72,6 +73,7 @@ pub mod snapshot;
 mod stats;
 mod vcp;
 
+pub use bench_record::publish_bench_json;
 pub use cache::{CacheStats, VcpCache, VcpCacheEntry, VcpKey};
 pub use engine::{
     BatchQuery, CancelToken, EngineConfig, Granularity, QueryCancelled, QueryError, QueryScores,

@@ -20,10 +20,10 @@
 //! 5. **Observability & drain** — `/healthz` and `/metrics` answer over
 //!    HTTP, and a wire `@shutdown` drains the daemon cleanly.
 //!
-//! Results land in `BENCH_serve.json` at the repo root. `--smoke`
-//! shrinks the client counts for CI but keeps a short sustained phase
-//! (batching enabled) so the byte-identity gate covers batched execution
-//! on every CI run.
+//! Full-run results land in `BENCH_serve.json` at the repo root (a
+//! smoke run only prints them). `--smoke` shrinks the client counts for
+//! CI but keeps a short sustained phase (batching enabled) so the
+//! byte-identity gate covers batched execution on every CI run.
 
 use std::time::{Duration, Instant};
 
@@ -271,7 +271,7 @@ fn sustained_phase(
     })
 }
 
-/// Runs the full bench and writes `BENCH_serve.json`. `smoke` shrinks
+/// Runs the full bench and publishes `BENCH_serve.json`. `smoke` shrinks
 /// the load for CI. Returns an error on any property violation.
 pub fn run(smoke: bool) -> Result<(), String> {
     let t0 = Instant::now();
@@ -569,9 +569,7 @@ pub fn run(smoke: bool) -> Result<(), String> {
         dl = deadline_stats.deadline_exceeded,
         elapsed = t0.elapsed().as_millis(),
     );
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_serve.json");
-    std::fs::write(path, &json).map_err(|e| format!("writing BENCH_serve.json: {e}"))?;
-    println!("{json}");
-    println!("bench-serve: all phases passed; wrote BENCH_serve.json");
+    esh_core::publish_bench_json("serve", &json, !smoke)?;
+    println!("bench-serve: all phases passed");
     Ok(())
 }

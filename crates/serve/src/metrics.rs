@@ -5,9 +5,10 @@
 //! Everything is lock-free atomics so the hot path (workers recording an
 //! outcome per request) never contends with scrapes of `/metrics`. The
 //! histogram trades exactness for bounded memory: latencies are counted
-//! into fixed millisecond buckets and quantiles report the upper bound of
-//! the bucket containing the requested rank — the standard
-//! Prometheus-histogram compromise.
+//! into fixed millisecond buckets, and a quantile interpolates linearly
+//! inside the bucket holding the requested rank (the Prometheus
+//! `histogram_quantile` estimate), clamped to the exact observed max so
+//! no reported quantile ever exceeds the slowest request.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -31,11 +32,6 @@ pub const LATENCY_BUCKETS_MS: [u64; 25] = [
     10_000, 20_000, 60_000, 120_000,
 ];
 
-/// Value quantiles report when the ranked observation fell in the `+Inf`
-/// overflow bucket — deliberately past every finite bound so an
-/// overflowing tail is unmistakable in dashboards.
-const OVERFLOW_MS: u64 = 300_000;
-
 /// Concurrently-updatable server counters. One instance lives for the
 /// whole daemon; workers record into it and `/metrics` renders it.
 #[derive(Debug)]
@@ -47,10 +43,11 @@ pub struct ServerStats {
     bad_request: AtomicU64,
     shutting_down: AtomicU64,
     internal: AtomicU64,
+    request_too_large: AtomicU64,
     http: AtomicU64,
     queue_depth_hwm: AtomicU64,
-    /// Exact maximum observed latency — the histogram's quantiles round
-    /// up to bucket bounds, which hides the true tail.
+    /// Exact maximum observed latency — the histogram alone only knows
+    /// which bucket the tail fell in.
     max_ms: AtomicU64,
     batches: AtomicU64,
     batched_queries: AtomicU64,
@@ -76,6 +73,7 @@ impl ServerStats {
             bad_request: AtomicU64::new(0),
             shutting_down: AtomicU64::new(0),
             internal: AtomicU64::new(0),
+            request_too_large: AtomicU64::new(0),
             http: AtomicU64::new(0),
             queue_depth_hwm: AtomicU64::new(0),
             max_ms: AtomicU64::new(0),
@@ -97,6 +95,7 @@ impl ServerStats {
             Outcome::BadRequest => &self.bad_request,
             Outcome::ShuttingDown => &self.shutting_down,
             Outcome::Internal => &self.internal,
+            Outcome::RequestTooLarge => &self.request_too_large,
         };
         counter.fetch_add(1, Ordering::Relaxed);
     }
@@ -142,6 +141,7 @@ impl ServerStats {
             .iter()
             .map(|b| b.load(Ordering::Relaxed))
             .collect();
+        let max_ms = self.max_ms.load(Ordering::Relaxed);
         StatsSnapshot {
             ok: self.ok.load(Ordering::Relaxed),
             overloaded: self.overloaded.load(Ordering::Relaxed),
@@ -150,11 +150,12 @@ impl ServerStats {
             bad_request: self.bad_request.load(Ordering::Relaxed),
             shutting_down: self.shutting_down.load(Ordering::Relaxed),
             internal: self.internal.load(Ordering::Relaxed),
+            request_too_large: self.request_too_large.load(Ordering::Relaxed),
             http: self.http.load(Ordering::Relaxed),
             queue_depth_hwm: self.queue_depth_hwm.load(Ordering::Relaxed),
-            p50_ms: quantile(&buckets, 0.50),
-            p99_ms: quantile(&buckets, 0.99),
-            max_ms: self.max_ms.load(Ordering::Relaxed),
+            p50_ms: quantile(&buckets, 0.50, max_ms),
+            p99_ms: quantile(&buckets, 0.99, max_ms),
+            max_ms,
             batches: self.batches.load(Ordering::Relaxed),
             batched_queries: self.batched_queries.load(Ordering::Relaxed),
             coalesced_queries: self.coalesced_queries.load(Ordering::Relaxed),
@@ -184,6 +185,7 @@ impl ServerStats {
             ("bad_request", s.bad_request),
             ("shutting_down", s.shutting_down),
             ("internal", s.internal),
+            ("request_too_large", s.request_too_large),
         ] {
             out.push_str(&format!("esh_requests_total{{outcome=\"{label}\"}} {v}\n"));
         }
@@ -341,13 +343,18 @@ pub struct StatsSnapshot {
     pub shutting_down: u64,
     /// Server-side faults (for example a corrupted index shard).
     pub internal: u64,
+    /// Request lines longer than [`crate::MAX_REQUEST_BYTES`] (each
+    /// closed its connection).
+    pub request_too_large: u64,
     /// HTTP requests served by the metrics shim.
     pub http: u64,
     /// Deepest the admission queue ever got.
     pub queue_depth_hwm: u64,
-    /// Median admission-to-response latency (bucket upper bound).
+    /// Median admission-to-response latency (interpolated within its
+    /// bucket, never above `max_ms`).
     pub p50_ms: u64,
-    /// 99th-percentile latency (bucket upper bound).
+    /// 99th-percentile latency (interpolated within its bucket, never
+    /// above `max_ms`).
     pub p99_ms: u64,
     /// Exact maximum latency observed (not a bucket bound).
     pub max_ms: u64,
@@ -372,25 +379,32 @@ impl StatsSnapshot {
             + self.bad_request
             + self.shutting_down
             + self.internal
+            + self.request_too_large
     }
 }
 
-/// Bucket-resolved quantile: the upper bound of the bucket holding the
-/// `q`-ranked observation (0 when the histogram is empty).
-fn quantile(buckets: &[u64], q: f64) -> u64 {
+/// Interpolated quantile: the `q`-ranked observation's position inside
+/// its bucket, mapped linearly onto the bucket's `(lower, upper]` range,
+/// then clamped to `max_ms` — the exact max, which also stands in as the
+/// upper edge of the `+Inf` bucket. 0 when the histogram is empty.
+fn quantile(buckets: &[u64], q: f64, max_ms: u64) -> u64 {
     let total: u64 = buckets.iter().sum();
     if total == 0 {
         return 0;
     }
     let rank = ((q * total as f64).ceil() as u64).max(1);
-    let mut cumulative = 0u64;
+    let mut below = 0u64;
     for (i, &count) in buckets.iter().enumerate() {
-        cumulative += count;
-        if cumulative >= rank {
-            return LATENCY_BUCKETS_MS.get(i).copied().unwrap_or(OVERFLOW_MS);
+        if below + count >= rank {
+            let lower = if i == 0 { 0 } else { LATENCY_BUCKETS_MS[i - 1] };
+            let upper = LATENCY_BUCKETS_MS.get(i).copied().unwrap_or(max_ms);
+            let frac = (rank - below) as f64 / count as f64;
+            let v = lower as f64 + (upper.saturating_sub(lower)) as f64 * frac;
+            return (v.round() as u64).min(max_ms);
         }
+        below += count;
     }
-    OVERFLOW_MS
+    max_ms
 }
 
 #[cfg(test)]
@@ -398,10 +412,10 @@ mod tests {
     use super::*;
 
     #[test]
-    fn quantiles_resolve_to_bucket_bounds() {
+    fn quantiles_interpolate_within_buckets_and_never_exceed_max() {
         let stats = ServerStats::new();
         // 98 fast requests, 2 slow ones: p50 in the ≤3ms bucket, p99 in
-        // the ≤500ms bucket.
+        // the (300, 500] bucket — halfway through its two samples.
         for _ in 0..98 {
             stats.record_latency_ms(3);
         }
@@ -409,23 +423,30 @@ mod tests {
         stats.record_latency_ms(450);
         let s = stats.snapshot();
         assert_eq!(s.p50_ms, 3);
-        assert_eq!(s.p99_ms, 500);
+        assert_eq!(s.p99_ms, 400);
+        assert!(s.p99_ms <= s.max_ms, "p99 over max: {s:?}");
+        // A rank at the top of its bucket reads the bound, clamped to the
+        // max: two samples in (300, 500] with a 450ms max report 450, not
+        // the 500ms bucket bound.
+        let stats = ServerStats::new();
+        stats.record_latency_ms(350);
+        stats.record_latency_ms(450);
+        let s = stats.snapshot();
+        assert_eq!(s.p99_ms, 450);
+        assert_eq!(s.max_ms, 450);
     }
 
     #[test]
-    fn densified_ladder_separates_demand_decode_latencies() {
-        // The sparse pre-v6 ladder jumped 50 → 100 → 200: a 60ms and a
-        // 180ms query were two buckets apart at best. The dense interior
-        // keeps sub-shard decode improvements visible as distinct bounds.
+    fn uniform_samples_interpolate_to_their_true_quantile() {
+        // 25 latencies spread evenly over the dense (50, 75] bucket: the
+        // interpolated median is the true median, not the bucket bound.
         let stats = ServerStats::new();
-        stats.record_latency_ms(60);
-        assert_eq!(stats.snapshot().p50_ms, 75);
-        let stats = ServerStats::new();
-        stats.record_latency_ms(130);
-        assert_eq!(stats.snapshot().p50_ms, 150);
-        let stats = ServerStats::new();
-        stats.record_latency_ms(250);
-        assert_eq!(stats.snapshot().p50_ms, 300);
+        for ms in 51..=75 {
+            stats.record_latency_ms(ms);
+        }
+        let s = stats.snapshot();
+        assert_eq!(s.p50_ms, 63);
+        assert_eq!(s.p99_ms, 75);
     }
 
     #[test]
@@ -442,11 +463,13 @@ mod tests {
         // A minute-long query now has its own finite bucket…
         stats.record_latency_ms(60_000);
         assert_eq!(stats.snapshot().p50_ms, 60_000);
-        // …and only latencies past the whole ladder report the overflow
-        // sentinel.
+        // …and latencies past the whole ladder interpolate between the
+        // last bound and the exact max.
         let slow = ServerStats::new();
         slow.record_latency_ms(150_000);
-        assert_eq!(slow.snapshot().p50_ms, OVERFLOW_MS);
+        assert_eq!(slow.snapshot().p50_ms, 150_000);
+        slow.record_latency_ms(130_000);
+        assert_eq!(slow.snapshot().p50_ms, 135_000);
     }
 
     #[test]
@@ -559,10 +582,10 @@ mod tests {
     fn max_latency_gauge_is_exact_not_a_bucket_bound() {
         let stats = ServerStats::new();
         stats.record_latency_ms(3);
-        stats.record_latency_ms(437); // p-quantiles would report 500
+        stats.record_latency_ms(437); // its bucket's bound is 500
         let s = stats.snapshot();
         assert_eq!(s.max_ms, 437);
-        assert_eq!(s.p99_ms, 500, "bucket quantile rounds up; max must not");
+        assert_eq!(s.p99_ms, 437, "quantiles clamp to the exact max");
         stats.record_latency_ms(12);
         assert_eq!(stats.snapshot().max_ms, 437, "max is monotone");
     }

@@ -70,7 +70,18 @@ pub enum Outcome {
     /// well-formed; retrying will not help until the operator fixes the
     /// index.
     Internal,
+    /// The request line was longer than [`MAX_REQUEST_BYTES`] (or grew
+    /// past it without ending); the daemon closes the connection after
+    /// this response.
+    RequestTooLarge,
 }
+
+/// Longest request line (excluding its newline) the daemon buffers. A
+/// query line is a short JSON object; a longer one — or one that never
+/// terminates — is answered with [`Outcome::RequestTooLarge`] and its
+/// connection closed, so no client can grow a connection's buffer
+/// without bound.
+pub const MAX_REQUEST_BYTES: usize = 64 * 1024;
 
 /// One ranked corpus target, scores exactly as the engine produced them
 /// (the JSON encoding round-trips `f64` bit-for-bit).

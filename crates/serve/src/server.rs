@@ -54,7 +54,9 @@ use esh_core::{BatchQuery, CancelToken, QueryError, SimilarityEngine, TargetId};
 use esh_corpus::Corpus;
 
 use crate::metrics::{ServerStats, StatsSnapshot};
-use crate::protocol::{encode_line, ranked_matches, Outcome, QueryRequest, QueryResponse};
+use crate::protocol::{
+    encode_line, ranked_matches, Outcome, QueryRequest, QueryResponse, MAX_REQUEST_BYTES,
+};
 
 /// Readers poll their socket in chunks of this length so they can notice
 /// shutdown and account idle time without holding a long blocking read.
@@ -419,11 +421,20 @@ fn serve_connection(shared: &Shared, job: Job) {
     let conn = Arc::new(ConnWriter::new(stream));
     let idle_limit = Duration::from_millis(shared.config.read_timeout_ms.max(1));
     let mut buf: Vec<u8> = Vec::new();
+    // Bytes at the front of `buf` already searched for a newline: each
+    // read scans only what it appended, so a long line costs linear time.
+    let mut scanned = 0usize;
     let mut chunk = [0u8; 4096];
     let mut idle = Duration::ZERO;
     let mut first_request = true;
     loop {
-        while let Some(pos) = buf.iter().position(|&b| b == b'\n') {
+        while let Some(off) = buf[scanned..].iter().position(|&b| b == b'\n') {
+            let pos = scanned + off;
+            scanned = 0;
+            if pos > MAX_REQUEST_BYTES {
+                reject_too_large(shared, &conn);
+                return;
+            }
             let raw: Vec<u8> = buf.drain(..=pos).collect();
             let line = String::from_utf8_lossy(&raw).trim().to_string();
             if line.is_empty() {
@@ -442,6 +453,11 @@ fn serve_connection(shared: &Shared, job: Job) {
             if !process_request(shared, &conn, &line, request_admitted) {
                 return; // @shutdown acknowledged; stop reading
             }
+        }
+        scanned = buf.len();
+        if scanned > MAX_REQUEST_BYTES {
+            reject_too_large(shared, &conn);
+            return;
         }
         match read_half.read(&mut chunk) {
             Ok(0) => return, // client closed; late deliveries fail silently
@@ -465,6 +481,19 @@ fn serve_connection(shared: &Shared, job: Job) {
             Err(_) => return,
         }
     }
+}
+
+/// Answers a request line longer than [`MAX_REQUEST_BYTES`] with a
+/// typed `RequestTooLarge`, after every earlier pipelined response (the
+/// reorder buffer keeps request order). The caller then stops reading,
+/// which closes the connection once those responses are delivered.
+fn reject_too_large(shared: &Shared, conn: &ConnWriter) {
+    let seq = conn.alloc_seq();
+    let response = QueryResponse::status(
+        Outcome::RequestTooLarge,
+        Some(format!("request line exceeds {MAX_REQUEST_BYTES} bytes")),
+    );
+    respond_now(shared, conn, seq, Instant::now(), response);
 }
 
 /// Dispatches one request line. Immediate outcomes (parse errors,

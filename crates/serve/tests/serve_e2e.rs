@@ -660,3 +660,62 @@ fn shard_budget_mb_caps_residency_while_serving_identically() {
     server.shutdown();
     std::fs::remove_dir_all(&dir).ok();
 }
+
+#[test]
+fn oversized_request_line_is_rejected_and_closes_only_its_connection() {
+    use esh_serve::protocol::{decode_line, encode_line, QueryResponse, MAX_REQUEST_BYTES};
+    use std::io::{BufRead, BufReader};
+
+    let corpus = tiny_corpus();
+    let offline = engine_over(&corpus);
+    let needle = corpus.procs[0].display();
+    let expected = encode_line(&ranked_matches(
+        &offline.query(&corpus.procs[0].proc_),
+        Some(TargetId(0)),
+        10,
+    ));
+
+    let (server, addr) = start(2, 8, 2_000);
+    let mut healthy = PipelinedClient::connect(&addr, TIMEOUT).unwrap();
+    healthy.send(&QueryRequest::new(&needle)).unwrap();
+    let before = healthy.recv().unwrap();
+    assert_eq!(encode_line(&before.matches), expected);
+
+    // One valid request, then a line that never terminates: the valid
+    // answer still arrives in order, then the typed rejection, then EOF.
+    let stream = TcpStream::connect(&addr).unwrap();
+    stream.set_read_timeout(Some(TIMEOUT)).unwrap();
+    let mut w = stream.try_clone().unwrap();
+    w.write_all(encode_line(&QueryRequest::new(&needle)).as_bytes())
+        .unwrap();
+    w.write_all(&vec![b'x'; MAX_REQUEST_BYTES + 1]).unwrap();
+    let mut reader = BufReader::new(stream);
+    let mut line = String::new();
+    reader.read_line(&mut line).unwrap();
+    let first: QueryResponse = decode_line(&line).unwrap();
+    assert_eq!(first.outcome, Outcome::Ok);
+    assert_eq!(encode_line(&first.matches), expected);
+    line.clear();
+    reader.read_line(&mut line).unwrap();
+    let rejected: QueryResponse = decode_line(&line).unwrap();
+    assert_eq!(rejected.outcome, Outcome::RequestTooLarge);
+    line.clear();
+    let eof = reader.read_line(&mut line).unwrap();
+    assert_eq!(eof, 0, "connection left open after the rejection");
+
+    // The neighbouring connection keeps serving byte-identical answers.
+    healthy.send(&QueryRequest::new(&needle)).unwrap();
+    let after = healthy.recv().unwrap();
+    assert_eq!(after.outcome, Outcome::Ok);
+    assert_eq!(encode_line(&after.matches), expected);
+
+    let (_, metrics) = http_get(&addr, "/metrics", TIMEOUT).unwrap();
+    assert!(
+        metrics.contains("esh_requests_total{outcome=\"request_too_large\"} 1\n"),
+        "{metrics}"
+    );
+    drop(healthy);
+    let stats = server.shutdown();
+    assert_eq!(stats.request_too_large, 1);
+    assert_eq!(stats.ok, 3);
+}

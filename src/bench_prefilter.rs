@@ -14,8 +14,8 @@
 //!
 //! The full run enforces the acceptance bar — ≥40% fewer SAT queries with
 //! identical top-1 rankings; `--smoke` keeps the 100%-top-1 gate only and
-//! shrinks the query count for CI. Results land in `BENCH_prefilter.json`
-//! at the repo root.
+//! shrinks the query count for CI. Full-run results land in
+//! `BENCH_prefilter.json` at the repo root; a smoke run only prints them.
 
 use std::time::Instant;
 
@@ -92,7 +92,7 @@ fn run_mode(corpus: &Corpus, queries: &[usize], sketch: bool) -> ModeRun {
     }
 }
 
-/// Runs the comparison and writes `BENCH_prefilter.json`. `smoke` shrinks
+/// Runs the comparison and publishes `BENCH_prefilter.json`. `smoke` shrinks
 /// the query count for CI. Returns an error when top-1 rankings diverge,
 /// or (full mode only) when the SAT-query reduction misses 40%.
 pub fn run(smoke: bool) -> Result<(), String> {
@@ -206,9 +206,7 @@ pub fn run(smoke: bool) -> Result<(), String> {
         ef = on.prefilter.exact_fallbacks,
         elapsed = t0.elapsed().as_millis(),
     );
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/BENCH_prefilter.json");
-    std::fs::write(path, &json).map_err(|e| format!("writing BENCH_prefilter.json: {e}"))?;
-    println!("{json}");
+    esh_core::publish_bench_json("prefilter", &json, !smoke)?;
 
     if !top1_identical {
         return Err("top-1 rankings diverged between prefiltered and exhaustive".into());
@@ -219,6 +217,6 @@ pub fn run(smoke: bool) -> Result<(), String> {
             sat_reduction * 100.0
         ));
     }
-    println!("bench-prefilter: passed; wrote BENCH_prefilter.json");
+    println!("bench-prefilter: passed");
     Ok(())
 }

@@ -14,9 +14,9 @@
 //!
 //! The full run enforces the tentpole acceptance bar — mean top-10
 //! agreement ≥ 0.9 with ≥ 50% SAT-query reduction; `--smoke` shrinks the
-//! query count for CI and gates on [`SMOKE_TOP10_FLOOR`]. Results land in
-//! `BENCH_rankquality.json` at the repo root (schema:
-//! `docs/BENCH_SCHEMAS.md`).
+//! query count for CI and gates on [`SMOKE_TOP10_FLOOR`]. Full-run results
+//! land in `BENCH_rankquality.json` at the repo root (schema:
+//! `docs/BENCH_SCHEMAS.md`); a smoke run only prints its record.
 
 use std::collections::HashMap;
 use std::time::Instant;
@@ -138,7 +138,7 @@ fn json_floats(xs: &[f64]) -> String {
     format!("[{}]", body.join(", "))
 }
 
-/// Runs the comparison and writes `BENCH_rankquality.json`. `smoke`
+/// Runs the comparison and publishes `BENCH_rankquality.json`. `smoke`
 /// shrinks the query count for CI. Returns an error when a rank-fidelity
 /// gate fails: full mode demands mean top-10 agreement ≥ 0.9 **and**
 /// SAT-query reduction ≥ 50%; smoke mode demands mean top-10 agreement ≥
@@ -274,9 +274,7 @@ pub fn run(smoke: bool) -> Result<(), String> {
         rf = on.prefilter.refine_passes,
         elapsed = t0.elapsed().as_millis(),
     );
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/BENCH_rankquality.json");
-    std::fs::write(path, &json).map_err(|e| format!("writing BENCH_rankquality.json: {e}"))?;
-    println!("{json}");
+    esh_core::publish_bench_json("rankquality", &json, !smoke)?;
 
     if !top1_identical {
         return Err("top-1 rankings diverged between prefiltered and exhaustive".into());
@@ -301,6 +299,6 @@ pub fn run(smoke: bool) -> Result<(), String> {
             ));
         }
     }
-    println!("bench-rankquality: passed; wrote BENCH_rankquality.json");
+    println!("bench-rankquality: passed");
     Ok(())
 }

@@ -41,7 +41,8 @@
 //! byte-identity check — the ranked output of a sharded engine must
 //! equal the JSON-loaded engine's bit for bit on the cross-compiler
 //! paper corpus (371 procedures; `--smoke` uses the small 28-procedure
-//! matrix). Results land in `BENCH_scale.json`.
+//! matrix). Full-run results land in `BENCH_scale.json`; a smoke run
+//! only prints them.
 
 use std::time::Instant;
 
@@ -500,7 +501,7 @@ fn apply_gates(runs: &[SizeRun], mmap: bool) -> Result<(), String> {
     Ok(())
 }
 
-/// Runs the scale bench and writes `BENCH_scale.json`. `--smoke` keeps
+/// Runs the scale bench and publishes `BENCH_scale.json`. `--smoke` keeps
 /// the 1k size and the small identity matrix for CI. Returns an error
 /// when any gate fails — cold-load, mmap-vs-buffered, whole-shard
 /// pruning, eviction under budget, or ranked-output identity.
@@ -595,9 +596,6 @@ pub fn run(opts: &BenchScaleOptions) -> Result<(), String> {
         iq = identity_queries,
         elapsed = t0.elapsed().as_millis(),
     );
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/BENCH_scale.json");
-    std::fs::write(path, &json).map_err(|e| e.to_string())?;
-    eprintln!("bench-scale: wrote {path}");
-    print!("{json}");
+    esh_core::publish_bench_json("scale", &json, !opts.smoke)?;
     Ok(())
 }
