@@ -35,7 +35,7 @@ use crate::shard::{
     ClassExport, CorpusExport, LazyClassMeta, LazyShards, ShardBandSummary, ShardError,
     ShardProcRef, ShardSource, ShardSpec, ShardStats, ShardTouch, TargetExport,
 };
-use crate::stats::{ges, les, likelihood, H0Accumulator, ScoringMode};
+use crate::stats::{ges, les, likelihood, H0Accumulator, ScoringMode, SIGMOID_MIDPOINT};
 use crate::vcp::{size_ratio_ok, vcp_pair, VcpConfig, VcpPair};
 
 /// Decomposition granularity — the §3.2 design axis. Strands (block-level
@@ -59,15 +59,12 @@ pub struct EngineConfig {
     /// Verifier budgets.
     pub equiv: EquivConfig,
     /// Enable the semantic-signature prefilter (exactness-preserving upper
-    /// bound; see `esh-strands`).
+    /// bound; see `esh-strands`): pairs whose overlap bound is below the
+    /// paper's 0.5 minimum VCP in both directions skip verification.
     pub prefilter: bool,
-    /// Pairs whose signature overlap bound is below this skip verification
-    /// (0.5 matches the paper's minimum-VCP filter).
-    pub prefilter_threshold: f64,
     /// The semantic-sketch prefilter tier (concrete-execution fingerprints
-    /// and banded LSH; see [`crate::prefilter`]). `None` reproduces the
-    /// pre-sketch engine exactly — snapshots written before format v3
-    /// load as `None`, preserving their recorded fingerprint.
+    /// and banded LSH; see [`crate::prefilter`]). `None` turns the tier
+    /// off and reproduces the pre-sketch engine exactly.
     pub sketch: Option<PrefilterConfig>,
     /// Worker threads (0 = use available parallelism).
     pub threads: usize,
@@ -80,7 +77,6 @@ impl Default for EngineConfig {
             vcp: VcpConfig::default(),
             equiv: EquivConfig::default(),
             prefilter: true,
-            prefilter_threshold: 0.5,
             sketch: Some(PrefilterConfig::default()),
             threads: 0,
         }
@@ -93,34 +89,22 @@ impl EngineConfig {
     /// snapshots and caches key on it. `threads` only changes scheduling,
     /// never results, and is deliberately excluded.
     pub fn fingerprint(&self) -> u64 {
-        let mut h = 0xcbf2_9ce4_8422_2325u64;
-        let mut mix = |field: u64| {
-            for b in field.to_le_bytes() {
-                h ^= u64::from(b);
-                h = h.wrapping_mul(0x0000_0100_0000_01B3);
-            }
-        };
-        mix(match self.granularity {
-            Granularity::Strands => 1,
-            Granularity::WholeBlocks => 2,
-        });
-        mix(self.vcp.fingerprint());
-        mix(self.equiv.fingerprint());
-        mix(u64::from(self.prefilter));
-        mix(self.prefilter_threshold.to_bits());
-        // Mixed only when present so configs without a sketch tier keep
-        // the fingerprint they had before format v3 — a v2 snapshot's
-        // recorded fingerprint must still verify after an upgrade.
-        if let Some(sketch) = &self.sketch {
-            mix(sketch.fingerprint());
-        }
-        h
+        stable_hash64([
+            match self.granularity {
+                Granularity::Strands => 1,
+                Granularity::WholeBlocks => 2,
+            },
+            self.vcp.fingerprint(),
+            self.equiv.fingerprint(),
+            u64::from(self.prefilter),
+            u64::from(self.sketch.is_some()),
+            self.sketch.map_or(0, |s| s.fingerprint()),
+        ])
     }
 
-    /// The sketch-prefilter parameters when the tier is configured *and*
-    /// switched on.
+    /// The sketch-prefilter parameters when the tier is on.
     pub fn active_sketch(&self) -> Option<&PrefilterConfig> {
-        self.sketch.as_ref().filter(|s| s.enabled)
+        self.sketch.as_ref()
     }
 }
 
@@ -140,9 +124,8 @@ pub(crate) struct StrandClass {
     /// Total occurrences across the whole corpus (drives H0).
     pub(crate) corpus_count: u64,
     /// Semantic sketch under the configured [`PrefilterConfig`]. `None`
-    /// when the tier is off or the class came from a pre-v3 snapshot;
-    /// missing sketches are rebuilt lazily on the first sketch-enabled
-    /// query.
+    /// when the class was added while the tier was off; a missing sketch
+    /// is rebuilt lazily on the first sketch-enabled query.
     pub(crate) sketch: Option<SemanticSketch>,
 }
 
@@ -419,11 +402,13 @@ pub struct SimilarityEngine {
     solver: SolverCounters,
     prefilter_stats: PrefilterStats,
     /// Banded LSH index over the corpus classes' sketches, built lazily on
-    /// the first sketch-enabled query (so pre-v3 snapshots without
-    /// persisted sketches just rebuild them) and dropped whenever the
-    /// corpus changes.
+    /// the first sketch-enabled query and dropped whenever the corpus
+    /// changes.
     sketch_index: Mutex<Option<Arc<SketchIndex>>>,
-    /// Lazy backing store when the engine was opened from a sharded (v5)
+    /// The sketch config [`SimilarityEngine::set_prefilter_enabled`]
+    /// suspended, restored verbatim when the tier is switched back on.
+    suspended_sketch: Option<PrefilterConfig>,
+    /// Lazy backing store when the engine was opened from a sharded
     /// index: class procedures and per-segment cache entries load on
     /// first use. `None` for fully resident engines.
     shards: Option<LazyShards>,
@@ -488,6 +473,7 @@ impl SimilarityEngine {
             solver: SolverCounters::default(),
             prefilter_stats: PrefilterStats::default(),
             sketch_index: Mutex::new(None),
+            suspended_sketch: None,
             shards: None,
         }
     }
@@ -521,18 +507,22 @@ impl SimilarityEngine {
         self.prefilter_stats.snapshot()
     }
 
-    /// Switches the sketch prefilter tier on or off for subsequent
-    /// queries (the `esh query --no-prefilter` escape hatch). Enabling it
-    /// on an engine configured without the tier installs the default
-    /// [`PrefilterConfig`]; note both directions change the config
-    /// fingerprint, since pruned pairs carry estimated VCP values.
+    /// Suspends (`false`) or restores (`true`) the sketch prefilter tier
+    /// for subsequent queries — the `esh query --no-prefilter` escape
+    /// hatch. Suspending parks the config the class sketches were built
+    /// under; restoring reinstates exactly that config. Restoring an
+    /// engine that suspended nothing, or suspending one without the
+    /// tier, is a no-op. While suspended the config fingerprint is that
+    /// of a tier-less engine, since pruned pairs carry estimated VCP
+    /// values.
     pub fn set_prefilter_enabled(&mut self, enabled: bool) {
-        match &mut self.config.sketch {
-            Some(sketch) => sketch.enabled = enabled,
-            None if enabled => self.config.sketch = Some(PrefilterConfig::default()),
-            None => {}
+        if enabled {
+            if let Some(cfg) = self.suspended_sketch.take() {
+                self.config.sketch = Some(cfg);
+            }
+        } else if let Some(cfg) = self.config.sketch.take() {
+            self.suspended_sketch = Some(cfg);
         }
-        *self.sketch_index.get_mut().expect("sketch index poisoned") = None;
     }
 
     pub(crate) fn cache(&self) -> &VcpCache {
@@ -790,6 +780,7 @@ impl SimilarityEngine {
             solver: SolverCounters::default(),
             prefilter_stats: PrefilterStats::default(),
             sketch_index: Mutex::new(None),
+            suspended_sketch: None,
             shards: Some(LazyShards::new(specs, source)),
         })
     }
@@ -811,6 +802,7 @@ impl SimilarityEngine {
             solver: SolverCounters::default(),
             prefilter_stats: PrefilterStats::default(),
             sketch_index: Mutex::new(None),
+            suspended_sketch: None,
             shards: None,
         }
     }
@@ -992,10 +984,8 @@ impl SimilarityEngine {
     }
 
     /// Returns the banded LSH index over the corpus sketches, building it
-    /// on first use. Classes missing a persisted sketch (pre-v3 snapshots,
-    /// or targets added while the tier was off) are sketched here — the
-    /// forward-compat path: a v2 snapshot loads cleanly and pays the
-    /// sketching cost once, on its first prefilter-enabled query.
+    /// on first use. Classes missing a sketch (targets added while the
+    /// tier was suspended) are sketched here, once.
     fn ensure_sketch_index(&self) -> Option<Arc<SketchIndex>> {
         let cfg = self.config.active_sketch()?;
         let mut slot = self.sketch_index.lock().expect("sketch index poisoned");
@@ -1006,10 +996,9 @@ impl SimilarityEngine {
                 .enumerate()
                 .map(|(i, c)| match &c.sketch {
                     Some(s) => s.clone(),
-                    // Missing sketches (pre-v3 snapshots, or a sharded
-                    // index written without the tier) rebuild from the
-                    // real procedure — on a lazily backed engine this
-                    // loads the class's shard.
+                    // A missing sketch rebuilds from the real procedure —
+                    // on a lazily backed engine this loads the class's
+                    // shard.
                     None => compute_sketch(&self.class_proc(i), cfg),
                 })
                 .collect();
@@ -1289,7 +1278,7 @@ impl SimilarityEngine {
         let refine_enabled = self
             .config
             .active_sketch()
-            .is_some_and(|cfg| cfg.effective_refine_top_k() > 0)
+            .is_some_and(|cfg| cfg.refine_top_k > 0)
             && !self.targets.is_empty()
             && self.ensure_sketch_index().is_some();
         let mut refine_session = refine_enabled.then(|| {
@@ -1485,7 +1474,7 @@ impl SimilarityEngine {
             return Ok(());
         }
         let cfg = self.config.active_sketch();
-        let k = cfg.map_or(0, |c| c.effective_refine_top_k());
+        let k = cfg.map_or(0, |c| c.refine_top_k);
         // Frozen at the estimated matrix (see the method docs): every
         // refined score shares these accumulators, keeping responses
         // cache-state-independent.
@@ -1889,8 +1878,9 @@ impl<'e> PairPricer<'e> {
         if !size_ratio_ok(&config.vcp, a_vars, b_vars) {
             return false;
         }
-        let th = config.prefilter_threshold;
-        let below = |x: &Signature, y: &Signature| x.overlap_bound(y) < th;
+        // The threshold is the paper's §5.5 minimum VCP: the sigmoid
+        // midpoint, below which a pair is evidence against similarity.
+        let below = |x: &Signature, y: &Signature| x.overlap_bound(y) < SIGMOID_MIDPOINT;
         !(config.prefilter && below(a_sig, b_sig) && below(b_sig, a_sig))
     }
 
@@ -1914,11 +1904,11 @@ impl<'e> PairPricer<'e> {
     /// inflated estimate). Bounds inside the ambiguity window around the
     /// margin re-sketch both strands on extra probe vectors and re-apply
     /// the margin to the refined bounds; anything else is verified. An
-    /// LSH band collision is counted for observability; under the
-    /// pre-probe rule (no ambiguity window — pre-v4 snapshot configs) a
-    /// collision still forces verification, while staged pricing lets
-    /// the margin skip spurious band matches too (a true same-source
-    /// pair has bound 1.0 and always verifies either way).
+    /// LSH band collision is counted for observability; with no
+    /// ambiguity window (the [`PrefilterConfig::lsh_only`] rule) a
+    /// collision forces verification, while staged pricing lets the
+    /// margin skip spurious band matches too (a true same-source pair
+    /// has bound 1.0 and always verifies either way).
     ///
     /// Fails only when probing needs a class record from a corrupted
     /// shard.
@@ -2206,7 +2196,7 @@ mod tests {
         // erase the solver saving this test asserts.
         let mut on = SimilarityEngine::new(EngineConfig {
             sketch: Some(PrefilterConfig {
-                refine_top_k: None,
+                refine_top_k: 0,
                 ..PrefilterConfig::default()
             }),
             ..quick_config()
@@ -2250,7 +2240,9 @@ mod tests {
             with.add_target(format!("t{i}"), &gcc().compile_function(&p));
             without.add_target(format!("t{i}"), &gcc().compile_function(&p));
         }
+        let fp = with.config().fingerprint();
         with.set_prefilter_enabled(false);
+        assert_eq!(with.config().fingerprint(), without.config().fingerprint());
         let q = clang().compile_function(&f);
         let a = with.query(&q);
         let b = without.query(&q);
@@ -2260,6 +2252,12 @@ mod tests {
             assert_eq!(x.s_vcp.to_bits(), y.s_vcp.to_bits());
         }
         assert_eq!(with.prefilter_stats(), PrefilterStatsSnapshot::default());
+        // Restoring reinstates the suspended config; a tier-less engine
+        // has nothing to restore.
+        with.set_prefilter_enabled(true);
+        assert_eq!(with.config().fingerprint(), fp);
+        without.set_prefilter_enabled(true);
+        assert!(without.config().sketch.is_none());
     }
 
     #[test]
@@ -2303,8 +2301,8 @@ mod tests {
         // every probe must resolve to a prune or an escalation.
         let f = demo::heartbleed_like();
         let probing = PrefilterConfig {
-            ambiguity_window: Some(1.0),
-            refine_top_k: None,
+            ambiguity_window: 1.0,
+            refine_top_k: 0,
             ..PrefilterConfig::default()
         };
         let mut on = SimilarityEngine::new(EngineConfig {

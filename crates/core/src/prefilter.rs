@@ -34,7 +34,7 @@
 //!    exactly**.
 //!
 //! Sketches are pure functions of the lifted strand and the sketch
-//! parameters, so snapshots persist them (format v3) and `esh index
+//! parameters, so snapshots persist them and `esh index
 //! build` amortizes the sketching work across queries.
 
 use std::collections::HashMap;
@@ -47,12 +47,11 @@ use esh_strands::{stable_hash64, stable_mix, STABLE_HASH_SEED};
 use esh_verifier::encode_proc;
 use serde::{Deserialize, Serialize};
 
-/// Tuning for the semantic sketch prefilter tier.
+/// Tuning for the semantic sketch prefilter tier. The tier is on exactly
+/// when [`crate::EngineConfig::sketch`] holds a config; a staged-pricing
+/// knob set to 0 switches its rung off.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct PrefilterConfig {
-    /// Master switch. Disabled, the engine behaves exactly like the
-    /// pre-sketch pipeline (`esh query --no-prefilter`).
-    pub enabled: bool,
     /// Number of concrete input vectors every strand class is evaluated
     /// on. More vectors tighten the containment bound (fewer spurious
     /// exact fallbacks) at linear sketching cost. Default: 8.
@@ -81,95 +80,64 @@ pub struct PrefilterConfig {
     /// [`PrefilterConfig::probe_vectors`] extra concrete vectors before
     /// deciding (the PEM-style "more probes where the evidence is thin").
     /// Wider windows trade extra concrete evaluation for fewer wrong
-    /// prune/fallback calls near the margin. `None` disables probing
-    /// (the pre-probe decision rule; also what pre-v4 snapshots load as).
-    /// Default: `Some(0.2)`.
-    pub ambiguity_window: Option<f64>,
+    /// prune/fallback calls near the margin. 0 disables probing, and then
+    /// an LSH band collision alone forces exact verification (the
+    /// [`PrefilterConfig::lsh_only`] rule). Default: 0.2.
+    pub ambiguity_window: f64,
     /// Extra eval-battery vectors an ambiguous pair's strands are probed
     /// on (on top of [`PrefilterConfig::vectors`]). More probe vectors
     /// make the refined bound tighter — spurious digest agreements
     /// separate — at linear concrete-evaluation cost per *strand class*
-    /// (probe sketches are cached per class, not per pair). `None`
-    /// disables probing. Default: `Some(24)`.
-    pub probe_vectors: Option<usize>,
+    /// (probe sketches are cached per class, not per pair). 0 disables
+    /// probing. Default: 24.
+    pub probe_vectors: usize,
     /// Size of the served ranking window that is re-priced through the
     /// full solver path after the pruned ranking (the refine-top-K pass):
     /// every pair behind the top-K targets users actually see is exact,
     /// so the window's internal order equals the exhaustive order.
     /// Larger K buys ranking depth with SAT work proportional to the
-    /// window's class count. `None`/`Some(0)` disables refinement.
-    /// Default: `Some(10)`.
-    pub refine_top_k: Option<usize>,
+    /// window's class count. 0 disables refinement. Default: 10.
+    pub refine_top_k: usize,
 }
 
 impl Default for PrefilterConfig {
     fn default() -> PrefilterConfig {
         PrefilterConfig {
-            enabled: true,
             vectors: 8,
             bands: 4,
             rows: 4,
             exact_fallback_margin: 0.7,
-            ambiguity_window: Some(0.2),
-            probe_vectors: Some(24),
-            refine_top_k: Some(10),
+            ambiguity_window: 0.2,
+            probe_vectors: 24,
+            refine_top_k: 10,
         }
     }
 }
 
 impl PrefilterConfig {
-    /// Stable FNV-1a digest over every knob. Sketches and pruned-pair
-    /// estimates are only valid under the parameters that produced them,
-    /// so [`crate::EngineConfig::fingerprint`] folds this in.
-    ///
-    /// The post-v3 knobs (`ambiguity_window`, `probe_vectors`,
-    /// `refine_top_k`) are mixed **only when present**, so a config
-    /// loaded from a pre-v4 snapshot (where they deserialize as `None`)
-    /// keeps the fingerprint it was recorded with.
+    /// Stable digest over every knob. Sketches and pruned-pair estimates
+    /// are only valid under the parameters that produced them, so
+    /// [`crate::EngineConfig::fingerprint`] folds this in.
     pub fn fingerprint(&self) -> u64 {
-        let mut fields = vec![
-            u64::from(self.enabled),
+        stable_hash64([
             self.vectors as u64,
             self.bands as u64,
             self.rows as u64,
             self.exact_fallback_margin.to_bits(),
-        ];
-        if let Some(w) = self.ambiguity_window {
-            fields.push(0xa3b1);
-            fields.push(w.to_bits());
-        }
-        if let Some(p) = self.probe_vectors {
-            fields.push(0xa3b2);
-            fields.push(p as u64);
-        }
-        if let Some(k) = self.refine_top_k {
-            fields.push(0xa3b3);
-            fields.push(k as u64);
-        }
-        stable_hash64(fields)
+            self.ambiguity_window.to_bits(),
+            self.probe_vectors as u64,
+            self.refine_top_k as u64,
+        ])
     }
 
     /// Effective ambiguity-window half-width: 0.0 (probing off) unless
-    /// both `ambiguity_window` and `probe_vectors` are configured.
+    /// both `ambiguity_window` and `probe_vectors` are non-zero.
     pub fn probe_window(&self) -> f64 {
-        match (self.ambiguity_window, self.probe_vectors) {
-            (Some(w), Some(p)) if w > 0.0 && p > 0 => w,
-            _ => 0.0,
-        }
-    }
-
-    /// Effective extra probe-vector count (0 = probing off).
-    pub fn effective_probe_vectors(&self) -> usize {
-        if self.probe_window() > 0.0 {
-            self.probe_vectors.unwrap_or(0)
+        if self.ambiguity_window > 0.0 && self.probe_vectors > 0 {
+            self.ambiguity_window
         } else {
-            0
+            0.0
         }
-    }
-
-    /// Effective refine window size (0 = refinement off).
-    pub fn effective_refine_top_k(&self) -> usize {
-        self.refine_top_k.unwrap_or(0)
     }
 
     /// The pure-LSH profile the 100k scale tier indexes under: only pairs
@@ -189,8 +157,8 @@ impl PrefilterConfig {
             // pair can reach this margin: bounds-based exact fallbacks
             // and probing are off, band collisions alone escalate.
             exact_fallback_margin: 2.0,
-            ambiguity_window: None,
-            probe_vectors: None,
+            ambiguity_window: 0.0,
+            probe_vectors: 0,
             ..PrefilterConfig::default()
         }
     }
@@ -213,10 +181,11 @@ pub enum SketchDecision {
 
 /// The decision rule over one pair's containment bounds.
 ///
-/// With `window == 0.0` this is the pre-probe rule: prune iff both
-/// bounds fall below `margin`. With a positive window, bounds whose
-/// maximum lands inside `[margin − window, margin + window)` return
-/// [`SketchDecision::Probe`] instead of being decided on base evidence.
+/// With `window == 0.0` (the [`PrefilterConfig::lsh_only`] profile) this
+/// is the two-way margin rule: prune iff both bounds fall below
+/// `margin`. With a positive window, bounds whose maximum lands inside
+/// `[margin − window, margin + window)` return [`SketchDecision::Probe`]
+/// instead of being decided on base evidence.
 /// Soundness is unaffected: probing re-applies the margin to refined
 /// bounds which are themselves upper bounds on the exact VCP, so a pair
 /// whose true VCP reaches the margin can never end up pruned.
@@ -310,7 +279,7 @@ pub fn compute_sketch(proc_: &Proc, config: &PrefilterConfig) -> SemanticSketch 
 
 /// Computes the **probe** sketch of a lifted strand: the same
 /// construction as [`compute_sketch`] over the base battery *extended*
-/// by [`PrefilterConfig::effective_probe_vectors`] extra rounds.
+/// by [`PrefilterConfig::probe_vectors`] extra rounds.
 ///
 /// More rounds make each per-temp digest fold more evidence, so two
 /// temps that agreed on the base battery by coincidence separate, while
@@ -319,11 +288,7 @@ pub fn compute_sketch(proc_: &Proc, config: &PrefilterConfig) -> SemanticSketch 
 /// therefore still a true upper bound on the exact VCP — the property
 /// the ambiguity-window decision relies on.
 pub fn compute_probe_sketch(proc_: &Proc, config: &PrefilterConfig) -> SemanticSketch {
-    compute_sketch_rounds(
-        proc_,
-        config,
-        config.vectors + config.effective_probe_vectors(),
-    )
+    compute_sketch_rounds(proc_, config, config.vectors + config.probe_vectors)
 }
 
 fn compute_sketch_rounds(proc_: &Proc, config: &PrefilterConfig, vectors: usize) -> SemanticSketch {
@@ -392,9 +357,8 @@ fn compute_sketch_rounds(proc_: &Proc, config: &PrefilterConfig, vectors: usize)
 
 /// The banded LSH index over every corpus strand class's sketch.
 ///
-/// Built lazily on the first prefilter-enabled query (so v2 snapshots
-/// without persisted sketches just rebuild them) and invalidated whenever
-/// a target is added.
+/// Built lazily on the first prefilter-enabled query and invalidated
+/// whenever a target is added.
 #[derive(Debug)]
 pub struct SketchIndex {
     bands: usize,
@@ -699,17 +663,17 @@ mod tests {
         let mut seen = std::collections::HashSet::new();
         seen.insert(base.fingerprint());
         for cfg in [
-            PrefilterConfig { enabled: false, ..base },
             PrefilterConfig { vectors: 16, ..base },
             PrefilterConfig { bands: 8, ..base },
             PrefilterConfig { rows: 3, ..base },
             PrefilterConfig { exact_fallback_margin: 0.5, ..base },
-            PrefilterConfig { ambiguity_window: Some(0.3), ..base },
-            PrefilterConfig { ambiguity_window: None, ..base },
-            PrefilterConfig { probe_vectors: Some(48), ..base },
-            PrefilterConfig { probe_vectors: None, ..base },
-            PrefilterConfig { refine_top_k: Some(5), ..base },
-            PrefilterConfig { refine_top_k: None, ..base },
+            PrefilterConfig { ambiguity_window: 0.3, ..base },
+            PrefilterConfig { ambiguity_window: 0.0, ..base },
+            PrefilterConfig { probe_vectors: 48, ..base },
+            PrefilterConfig { probe_vectors: 0, ..base },
+            PrefilterConfig { refine_top_k: 5, ..base },
+            PrefilterConfig { refine_top_k: 0, ..base },
+            PrefilterConfig::lsh_only(),
         ] {
             assert!(seen.insert(cfg.fingerprint()), "collision for {cfg:?}");
         }

@@ -333,7 +333,7 @@ impl ShardBandSummary {
     ///   (classes with no digests have `c_t = 0` by definition).
     ///
     /// Both bounds below the threshold proves every cell prices to
-    /// `Prune`. Under the pre-probe rule (`window == 0`) *collided* cells
+    /// `Prune`. Under the `lsh_only` rule (`window == 0`) *collided* cells
     /// skip pricing and go straight to the exact path, so the band Bloom
     /// must additionally prove no class shares an LSH band with the
     /// query.
@@ -446,9 +446,8 @@ pub(crate) struct LazyShards {
     slots: Vec<RwLock<Option<Arc<ShardResident>>>>,
     /// Per-shard band summaries (pruning disabled while `None`).
     pub(crate) summaries: Option<Vec<ShardBandSummary>>,
-    /// Whole-decode compatibility mode: decode every record at open
-    /// (the pre-demand-decode behaviour, kept as the bench baseline and
-    /// the `--whole-decode` escape hatch).
+    /// Whole-decode mode: decode every record at open (the
+    /// pre-demand-decode behaviour, kept only as the bench baseline).
     pub(crate) eager: bool,
     /// Resident-bytes budget; 0 means unbounded.
     budget: AtomicU64,

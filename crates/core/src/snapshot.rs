@@ -14,7 +14,7 @@
 //!
 //! ```text
 //! {
-//!   "format_version": 1,          // SNAPSHOT_FORMAT_VERSION at write time
+//!   "format_version": 5,          // SNAPSHOT_FORMAT_VERSION at write time
 //!   "config_fingerprint": <u64>,  // EngineConfig::fingerprint() at write time
 //!   "config": { ... },            // full EngineConfig (threads included but
 //!                                 //   excluded from the fingerprint)
@@ -27,13 +27,10 @@
 //!
 //! ## Invalidation rules
 //!
-//! * `format_version` must be a version this build reads. Version 3 added
-//!   optional per-class semantic sketches and the `sketch` config block;
-//!   both deserialize as absent from a version-2 document, so v2 snapshots
-//!   still load — their sketches are rebuilt lazily on the first
-//!   prefilter-enabled query, and the next save writes v3. Older versions
-//!   are rejected; bump the constant whenever the serialized shape of any
-//!   embedded type changes incompatibly.
+//! * `format_version` must equal [`SNAPSHOT_FORMAT_VERSION`]. It is read
+//!   before anything else is deserialized, so a file from any other
+//!   version is rejected with [`SnapshotError::VersionMismatch`] whatever
+//!   its shape; rebuild it (or re-run `esh index build`).
 //! * `config_fingerprint` must equal the fingerprint recomputed from the
 //!   embedded `config`; a mismatch means the file was edited or corrupted.
 //! * [`SimilarityEngine::load_compatible`] additionally rejects snapshots
@@ -54,27 +51,18 @@ use serde::{Deserialize, Serialize};
 use crate::cache::{VcpCache, VcpCacheEntry};
 use crate::engine::{EngineConfig, SimilarityEngine, StrandClass, TargetRecord};
 
-/// Current snapshot format version.
+/// The one snapshot format version this build reads and writes.
 ///
 /// Bump policy: increment on **any** change to the serialized shape of
-/// [`EngineConfig`], [`StrandClass`], [`TargetRecord`], [`VcpCacheEntry`]
-/// or the top-level layout. Purely additive optional fields may keep the
-/// older version readable (list it in [`READABLE_FORMAT_VERSIONS`]);
-/// anything else is rejected rather than migrated.
+/// [`EngineConfig`], `StrandClass`, `TargetRecord`, [`VcpCacheEntry`] or
+/// the top-level layout, or to the config fingerprint. Older files are
+/// rejected, not migrated.
 ///
-/// Version 4 added the staged-pricing knobs on `PrefilterConfig`
-/// (`ambiguity_window`, `probe_vectors`, `refine_top_k`) — optional
-/// fields, absent in older files, whose absence means "pre-probe
-/// behavior" and leaves the recorded fingerprint unchanged.
-pub const SNAPSHOT_FORMAT_VERSION: u32 = 4;
-
-/// Format versions [`SimilarityEngine::load`] accepts. Version 2 predates
-/// per-class semantic sketches; its documents parse with `sketch: None`
-/// everywhere and the engine rebuilds sketches lazily. Version 3 predates
-/// the staged-pricing knobs; its configs parse with the probe and refine
-/// fields `None`, which the engine treats as the v3 pricing rule
-/// (collision ⇒ exact, no ambiguity probing, no window refinement).
-pub const READABLE_FORMAT_VERSIONS: [u32; 3] = [2, 3, SNAPSHOT_FORMAT_VERSION];
+/// Version 5 made the staged-pricing knobs of
+/// [`PrefilterConfig`](crate::PrefilterConfig) plain numbers (0 = off),
+/// dropped its `enabled` switch, and fixed the signature-overlap
+/// threshold at 0.5 instead of storing it in [`EngineConfig`].
+pub const SNAPSHOT_FORMAT_VERSION: u32 = 5;
 
 /// How a [`SnapshotError::ConfigMismatch`] came about — the two cases call
 /// for different operator action, so the error spells them apart.
@@ -245,12 +233,11 @@ impl SimilarityEngine {
     /// Restores an engine from a snapshot written by
     /// [`SimilarityEngine::save`] / `save_with_cache`.
     ///
-    /// Rejects files whose `format_version` is not in
-    /// [`READABLE_FORMAT_VERSIONS`], and files whose recorded fingerprint
+    /// Rejects files whose `format_version` is not
+    /// [`SNAPSHOT_FORMAT_VERSION`] — checked before the rest of the
+    /// document is deserialized — and files whose recorded fingerprint
     /// does not match the one recomputed from the embedded configuration
-    /// (a tamper/corruption check). Version-2 documents (pre-sketch) load
-    /// with no per-class sketches; a prefilter-enabled engine rebuilds
-    /// them lazily on its first query.
+    /// (a tamper/corruption check).
     pub fn load(path: impl AsRef<Path>) -> Result<SimilarityEngine, SnapshotError> {
         let path = path.as_ref();
         let format_err = |detail: String| SnapshotError::Format {
@@ -261,15 +248,21 @@ impl SimilarityEngine {
             path: path.to_path_buf(),
             source: e,
         })?;
-        let file: SnapshotFile =
+        let doc: serde::Value =
             serde_json::from_str(&text).map_err(|e| format_err(e.to_string()))?;
-        if !READABLE_FORMAT_VERSIONS.contains(&file.format_version) {
+        let fields = doc
+            .as_object()
+            .ok_or_else(|| format_err(format!("expected an object, found {}", doc.kind())))?;
+        let found: u32 =
+            serde::field(fields, "format_version").map_err(|e| format_err(e.to_string()))?;
+        if found != SNAPSHOT_FORMAT_VERSION {
             return Err(SnapshotError::VersionMismatch {
                 path: path.to_path_buf(),
-                found: file.format_version,
+                found,
                 expected: SNAPSHOT_FORMAT_VERSION,
             });
         }
+        let file = SnapshotFile::deserialize(&doc).map_err(|e| format_err(e.to_string()))?;
         let recomputed = file.config.fingerprint();
         if file.config_fingerprint != recomputed {
             return Err(SnapshotError::ConfigMismatch {
@@ -397,118 +390,26 @@ mod tests {
             }
             other => panic!("expected VersionMismatch, got {other:?}"),
         }
-        std::fs::remove_file(&path).ok();
-    }
-
-    #[test]
-    fn v2_snapshot_loads_and_rebuilds_sketches_lazily() {
-        // A pre-sketch (format 2) document: no `sketch` key anywhere and
-        // a fingerprint computed without the sketch block. It must load,
-        // serve prefilter-enabled queries (sketching on demand), and save
-        // back as the current version.
-        let p = esh_asm::parse_proc(
-            "proc p\nentry:\nmov r12, rbx\nadd r12, 5\nlea rdi, [r12+0x3]\nxor rax, rdi",
-        )
-        .unwrap();
-        let mut engine = SimilarityEngine::new(EngineConfig {
-            threads: 1,
-            sketch: None,
-            ..EngineConfig::default()
-        });
-        engine.add_target("t0", &p);
-        let path = temp_path("v2-forward");
-        engine.save(&path).unwrap();
-        let text = std::fs::read_to_string(&path).unwrap();
-        // Rewrite as a faithful v2 document: drop the null sketch fields
-        // the v3 writer emits and stamp the old version number.
-        let v2 = text
-            .replace(&format!("\"format_version\":{SNAPSHOT_FORMAT_VERSION}"), "\"format_version\":2")
-            .replace(",\"sketch\":null", "")
-            .replace("\"sketch\":null,", "");
-        assert!(!v2.contains("sketch"), "v2 doc must not mention sketches");
-        std::fs::write(&path, &v2).unwrap();
-
-        let mut restored = SimilarityEngine::load(&path).expect("v2 snapshot must load");
-        assert!(restored.config().sketch.is_none(), "v2 config has no sketch tier");
-        restored.set_prefilter_enabled(true);
-        let scores = restored.query(&p);
-        assert_eq!(scores.scores.len(), 1);
-        let stats = restored.prefilter_stats();
-        assert!(
-            stats.sketch_collisions + stats.pairs_pruned + stats.exact_fallbacks > 0,
-            "lazily rebuilt sketches never consulted: {stats:?}"
-        );
-        restored.save(&path).unwrap();
-        let resaved = std::fs::read_to_string(&path).unwrap();
-        assert!(resaved.contains(&format!("\"format_version\":{SNAPSHOT_FORMAT_VERSION}")));
-        std::fs::remove_file(&path).ok();
-    }
-
-    #[test]
-    fn v3_snapshot_loads_with_pre_probe_pricing() {
-        // A format-3 document: sketch tier present but none of the
-        // staged-pricing knobs (`ambiguity_window`, `probe_vectors`,
-        // `refine_top_k`) and a fingerprint computed without them. It
-        // must load with those fields `None` — the v3 pricing rule
-        // (collision ⇒ exact, no probing, no refinement) — keep its
-        // recorded fingerprint, and save back as the current version.
-        let p = esh_asm::parse_proc(
-            "proc p\nentry:\nmov r12, rbx\nadd r12, 5\nlea rdi, [r12+0x3]\nxor rax, rdi",
-        )
-        .unwrap();
-        let sketch = crate::prefilter::PrefilterConfig {
-            ambiguity_window: None,
-            probe_vectors: None,
-            refine_top_k: None,
-            ..crate::prefilter::PrefilterConfig::default()
-        };
-        let mut engine = SimilarityEngine::new(EngineConfig {
-            threads: 1,
-            sketch: Some(sketch),
-            ..EngineConfig::default()
-        });
-        engine.add_target("t0", &p);
-        let recorded_fp = engine.config().fingerprint();
-        let path = temp_path("v3-forward");
-        engine.save(&path).unwrap();
-        let text = std::fs::read_to_string(&path).unwrap();
-        // Rewrite as a faithful v3 document: drop the null knob fields
-        // the v4 writer emits and stamp the old version number.
-        let v3 = text
-            .replace(
-                &format!("\"format_version\":{SNAPSHOT_FORMAT_VERSION}"),
-                "\"format_version\":3",
-            )
-            .replace(",\"ambiguity_window\":null", "")
-            .replace("\"ambiguity_window\":null,", "")
-            .replace(",\"probe_vectors\":null", "")
-            .replace("\"probe_vectors\":null,", "")
-            .replace(",\"refine_top_k\":null", "")
-            .replace("\"refine_top_k\":null,", "");
-        assert!(
-            !v3.contains("ambiguity_window") && !v3.contains("refine_top_k"),
-            "v3 doc must not mention the staged-pricing knobs"
-        );
-        std::fs::write(&path, &v3).unwrap();
-
-        let restored = SimilarityEngine::load(&path).expect("v3 snapshot must load");
-        let cfg = restored.config().sketch.as_ref().expect("sketch tier survives");
-        assert!(
-            cfg.ambiguity_window.is_none()
-                && cfg.probe_vectors.is_none()
-                && cfg.refine_top_k.is_none(),
-            "absent knobs must parse as the v3 pricing rule"
-        );
-        assert_eq!(
-            restored.config().fingerprint(),
-            recorded_fp,
-            "absent knobs must not move the fingerprint"
-        );
-        let scores = restored.query(&p);
-        assert_eq!(scores.scores.len(), 1);
-        restored.save(&path).unwrap();
-        let resaved = std::fs::read_to_string(&path).unwrap();
-        assert!(resaved.contains(&format!("\"format_version\":{SNAPSHOT_FORMAT_VERSION}")));
+        // A previous-version document carries the old config shape (a
+        // nullable staged-pricing knob, the `enabled` switch), which no
+        // longer deserializes: the version check runs first, so it is
+        // still reported as a version mismatch rather than a format error.
+        let prev = SNAPSHOT_FORMAT_VERSION - 1;
+        let old_shape = text
+            .replace(&needle, &format!("\"format_version\":{prev}"))
+            .replace("\"ambiguity_window\":0.2", "\"ambiguity_window\":null")
+            .replace("\"vectors\":", "\"enabled\":true,\"vectors\":");
+        assert!(old_shape.contains("\"ambiguity_window\":null,"));
+        std::fs::write(&path, old_shape).unwrap();
+        match SimilarityEngine::load(&path) {
+            Err(e @ SnapshotError::VersionMismatch { found, expected, .. }) => {
+                assert_eq!((found, expected), (prev, SNAPSHOT_FORMAT_VERSION));
+                let msg = e.to_string();
+                assert!(msg.contains(&prev.to_string()));
+                assert!(msg.contains(&SNAPSHOT_FORMAT_VERSION.to_string()));
+            }
+            other => panic!("expected VersionMismatch, got {other:?}"),
+        }
         std::fs::remove_file(&path).ok();
     }
 
@@ -544,7 +445,7 @@ mod tests {
         let path = temp_path("incompatible");
         engine.save(&path).unwrap();
         let mut want = engine.config().clone();
-        want.prefilter_threshold += 0.125;
+        want.vcp.size_ratio += 0.125;
         match SimilarityEngine::load_compatible(&path, &want) {
             Err(
                 e @ SnapshotError::ConfigMismatch {

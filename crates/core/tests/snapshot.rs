@@ -181,6 +181,27 @@ fn unknown_format_version_is_rejected() {
         Err(e) => panic!("expected VersionMismatch, got {e}"),
         Ok(_) => panic!("expected VersionMismatch, got a loaded engine"),
     }
+
+    // A previous-version document in the old config shape (nullable
+    // staged-pricing knobs, an `enabled` switch) is refused on its
+    // version, not on the shape it no longer parses as.
+    let prev = esh_core::SNAPSHOT_FORMAT_VERSION - 1;
+    let old_shape = text
+        .replace(&needle, &format!("\"format_version\":{prev}"))
+        .replace("\"ambiguity_window\":0.2", "\"ambiguity_window\":null")
+        .replace("\"vectors\":", "\"enabled\":true,\"vectors\":");
+    assert!(old_shape.contains("\"enabled\":true,"));
+    std::fs::write(&path, old_shape).unwrap();
+    match SimilarityEngine::load(&path) {
+        Err(SnapshotError::VersionMismatch {
+            found, expected, ..
+        }) => {
+            assert_eq!(found, prev);
+            assert_eq!(expected, esh_core::SNAPSHOT_FORMAT_VERSION);
+        }
+        Err(e) => panic!("expected VersionMismatch, got {e}"),
+        Ok(_) => panic!("expected VersionMismatch, got a loaded engine"),
+    }
     std::fs::remove_file(&path).ok();
 }
 
@@ -193,12 +214,9 @@ fn tampered_config_is_rejected() {
     engine.save(&path).unwrap();
 
     let text = std::fs::read_to_string(&path).unwrap();
-    let needle = format!(
-        "\"prefilter_threshold\":{:?}",
-        engine.config().prefilter_threshold
-    );
+    let needle = format!("\"size_ratio\":{:?}", engine.config().vcp.size_ratio);
     assert!(text.contains(&needle), "snapshot must embed the config");
-    let tampered = text.replace(&needle, "\"prefilter_threshold\":0.123456");
+    let tampered = text.replace(&needle, "\"size_ratio\":0.123456");
     std::fs::write(&path, tampered).unwrap();
 
     match SimilarityEngine::load(&path) {

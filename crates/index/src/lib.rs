@@ -1,8 +1,8 @@
 #![warn(missing_docs)]
 
-//! # esh-index — the scale tier's on-disk format (v6)
+//! # esh-index — the scale tier's on-disk format (v7)
 //!
-//! JSON snapshots (format v2–v4, `esh-core::snapshot`) serialize every
+//! JSON snapshots (`esh-core::snapshot`) serialize every
 //! strand class **including its lifted IVL procedure** into one document;
 //! loading a 10k-procedure corpus means parsing hundreds of megabytes of
 //! JSON before the first query can run. This crate replaces that with a
@@ -36,15 +36,16 @@
 //! header, per-record offset table, VCP-cache segment — decode when the
 //! shard is first touched, before the first counted cache lookup into
 //! the segment, while the procedure records stay raw mapped bytes until
-//! a query's pricing actually demands one (v6 demand decoding). The
+//! a query's pricing actually demands one (demand decoding). The
 //! mapping (or owned buffer) therefore lives for the shard's whole
 //! residency, not just the open call. Ranked responses and cache
 //! hit/miss counters are byte-identical to the same corpus loaded from
 //! JSON — pinned by this crate's round-trip proptests.
 //!
-//! **Migration.** [`migrate_json`] reads any JSON snapshot the engine
-//! accepts (formats v2–v4) and writes the sharded layout — the additive
-//! upgrade path.
+//! **Migration.** [`migrate_json`] reads a current-version JSON snapshot
+//! and writes the sharded layout. Each format reads only its own
+//! current version: older files are refused with a `VersionMismatch`
+//! and must be rebuilt.
 //!
 //! **Checksums** (all FNV-1a) are layered to match decode granularity:
 //! the manifest records a whole-file `checksum` per file (tooling and
@@ -76,12 +77,12 @@ pub use mmap::Mmap;
 use mmap::{read_file, FileBytes};
 use wire::{checksum, checksum_parts, Reader, Writer};
 
-/// Format version of the sharded directory layout. Versions 2–4 are the
-/// JSON snapshot lineage (`esh-core::SNAPSHOT_FORMAT_VERSION`); version 5
-/// introduced the binary layout (whole-shard decode), version 6 adds
-/// per-record checksums to the shard offset tables plus a structural
-/// `meta_checksum` per shard, enabling per-procedure demand decoding.
-pub const SHARDED_FORMAT_VERSION: u32 = 6;
+/// Format version of the sharded directory layout, the only one this
+/// build reads. Version 6 added per-record checksums to the shard offset
+/// tables plus a structural `meta_checksum` per shard, enabling
+/// per-procedure demand decoding; version 7 tracks the snapshot v5
+/// change to the [`EngineConfig`] the manifest embeds.
+pub const SHARDED_FORMAT_VERSION: u32 = 7;
 
 /// Manifest file name inside an index directory.
 pub const MANIFEST_FILE: &str = "manifest.json";
@@ -196,10 +197,8 @@ struct ShardManifest {
     // region. Verified at shard *open*, so header, offset table and
     // cache segment are trusted before any record decodes — the record
     // blobs themselves are covered one by one by the per-record
-    // checksums in the offset table. `Option` only so a pre-v6 manifest
-    // parses far enough to be rejected with a version message instead
-    // of a field error.
-    meta_checksum: Option<u64>,
+    // checksums in the offset table.
+    meta_checksum: u64,
 }
 
 /// The manifest document (`manifest.json`).
@@ -214,11 +213,8 @@ struct Manifest {
     core_bytes: u64,
     core_checksum: u64,
     shards: Vec<ShardManifest>,
-    // Sketch-band prune sidecar (v5 additive extension). Absent in
-    // indexes written before the sidecar existed, or when the sketch
-    // tier was disabled at write time — both open fine, with pruning
-    // simply unavailable. The vendored serde maps a missing field to
-    // `None`, so older manifests stay readable.
+    // Sketch-band prune sidecar. Absent when the sketch tier was off at
+    // write time; such an index opens fine, with pruning unavailable.
     prune_file: Option<String>,
     prune_bytes: Option<u64>,
     prune_checksum: Option<u64>,
@@ -444,16 +440,16 @@ struct ShardStructure {
 }
 
 /// Parses a shard file's structural parts (header, offset table, cache
-/// segment), leaving the record blobs raw. When `expect_meta` carries
-/// the manifest's structural checksum it is verified as soon as the
-/// blob bounds are known — *before* the cache segment is parsed — so a
-/// corrupted cache region reports "checksum mismatch" rather than
-/// whatever decode error the garbage happens to produce.
+/// segment), leaving the record blobs raw. The manifest's structural
+/// checksum `expect_meta` is verified as soon as the blob bounds are
+/// known — *before* the cache segment is parsed — so a corrupted cache
+/// region reports "checksum mismatch" rather than whatever decode error
+/// the garbage happens to produce.
 fn parse_shard_structure(
     bytes: &[u8],
     expect_index: usize,
     expect_start: usize,
-    expect_meta: Option<u64>,
+    expect_meta: u64,
 ) -> Result<ShardStructure, String> {
     let mut r = Reader::new(bytes);
     if r.raw(8)? != SHARD_MAGIC {
@@ -484,13 +480,11 @@ fn parse_shard_structure(
             format!("blob table entry {i} out of range ({off}+{len} > {blob_len})")
         })?;
     }
-    if let Some(meta) = expect_meta {
-        let blob_end = blob_start + blob_len;
-        if checksum_parts(&[&bytes[..blob_start], &bytes[blob_end..]]) != meta {
-            return Err("checksum mismatch — the shard's structural bytes were \
-                        modified after the manifest was written"
-                .into());
-        }
+    let blob_end = blob_start + blob_len;
+    if checksum_parts(&[&bytes[..blob_start], &bytes[blob_end..]]) != expect_meta {
+        return Err("checksum mismatch — the shard's structural bytes were \
+                    modified after the manifest was written"
+            .into());
     }
     let ncache = r.u64()? as usize;
     let mut cache = Vec::with_capacity(ncache.min(bytes.len() / 8 + 1));
@@ -650,7 +644,7 @@ fn partition(export: &CorpusExport, targets_per_shard: usize) -> Vec<ShardSpec> 
 // Write
 // ---------------------------------------------------------------------
 
-/// Writes `engine`'s corpus as a sharded v6 index into directory `dir`
+/// Writes `engine`'s corpus as a sharded index into directory `dir`
 /// (created if missing; existing index files are overwritten), with at
 /// most `targets_per_shard` targets per shard.
 pub fn write_sharded(
@@ -705,7 +699,7 @@ pub fn write_sharded(
             target_end: spec.target_end as u64,
             bytes: bytes.len() as u64,
             checksum: checksum(&bytes),
-            meta_checksum: Some(meta),
+            meta_checksum: meta,
         });
     }
 
@@ -714,7 +708,7 @@ pub fn write_sharded(
     // when the sketch tier is on — without sketches every summary would
     // be incomplete and pruning could never trigger.
     let prune = match &export.config.sketch {
-        Some(sketch_cfg) if sketch_cfg.enabled => {
+        Some(sketch_cfg) => {
             let summaries: Vec<ShardBandSummary> = specs
                 .iter()
                 .map(|spec| {
@@ -732,7 +726,7 @@ pub fn write_sharded(
             std::fs::write(&path, &bytes).map_err(io_err(&path))?;
             Some((bytes.len() as u64, checksum(&bytes)))
         }
-        _ => None,
+        None => None,
     };
 
     let manifest = Manifest {
@@ -784,9 +778,11 @@ pub struct EshxOpenOptions {
     pub prune: bool,
     /// Decode shard records per procedure, on demand (the default): a
     /// touched shard decodes only the classes a query actually needs.
-    /// When false every record of a touched shard decodes at shard open
-    /// — the v5 behavior, kept as the bench baseline and an escape
-    /// hatch. Both modes produce byte-identical rankings and counters.
+    /// When false every record of a touched shard decodes at shard open.
+    /// That eager mode is never faster and no CLI command selects it; it
+    /// stays only as `esh bench-scale`'s whole-decode reference baseline
+    /// and for the repository benchmark, which sets this field. Both
+    /// modes produce byte-identical rankings and counters.
     pub demand: bool,
 }
 
@@ -819,19 +815,25 @@ pub struct ManifestSummary {
 }
 
 /// Reads and validates `manifest.json` (version + config fingerprint)
-/// without opening any other file in the directory.
+/// without opening any other file in the directory. The version is
+/// checked before the rest of the manifest is deserialized, so a
+/// manifest of any other version is a `VersionMismatch` whatever its
+/// shape.
 fn load_manifest(dir: &Path) -> Result<Manifest, IndexError> {
     let manifest_path = dir.join(MANIFEST_FILE);
     let text = std::fs::read_to_string(&manifest_path).map_err(io_err(&manifest_path))?;
-    let manifest: Manifest = serde_json::from_str(&text)
-        .map_err(|e| format_err(&manifest_path, e.to_string()))?;
-    if manifest.format_version != SHARDED_FORMAT_VERSION {
+    let bad = |e: &dyn fmt::Display| format_err(&manifest_path, e.to_string());
+    let doc: serde::Value = serde_json::from_str(&text).map_err(|e| bad(&e))?;
+    let fields = doc.as_object().ok_or_else(|| bad(&"manifest is not an object"))?;
+    let found: u32 = serde::field(fields, "format_version").map_err(|e| bad(&e))?;
+    if found != SHARDED_FORMAT_VERSION {
         return Err(IndexError::VersionMismatch {
             path: manifest_path,
-            found: manifest.format_version,
+            found,
             expected: SHARDED_FORMAT_VERSION,
         });
     }
+    let manifest = Manifest::deserialize(&doc).map_err(|e| bad(&e))?;
     let recomputed = manifest.config.fingerprint();
     if manifest.config_fingerprint != recomputed {
         return Err(IndexError::ConfigMismatch {
@@ -886,10 +888,7 @@ impl ShardSource for FileShardSource {
                 m.bytes
             ));
         }
-        let meta = m.meta_checksum.ok_or_else(|| {
-            format!("{}: manifest records no structural checksum", path.display())
-        })?;
-        let s = parse_shard_structure(&bytes, shard, m.class_start as usize, Some(meta))
+        let s = parse_shard_structure(&bytes, shard, m.class_start as usize, m.meta_checksum)
             .map_err(|e| format!("{}: {e}", path.display()))?;
         let base = (bytes.len() - s.blob_len) as u64;
         Ok(Box::new(EshxShardRecords {
@@ -936,7 +935,7 @@ pub fn shard_record_ranges(
         .collect())
 }
 
-/// Opens a sharded v6 index directory as a lazily backed
+/// Opens a sharded index directory as a lazily backed
 /// [`SimilarityEngine`] with default options (mmap on, pruning on).
 /// Ranked responses are byte-identical to the same corpus loaded from a
 /// JSON snapshot.
@@ -944,7 +943,7 @@ pub fn open_sharded(dir: impl AsRef<Path>) -> Result<SimilarityEngine, IndexErro
     open_sharded_with(dir, EshxOpenOptions::default())
 }
 
-/// Opens a sharded v6 index directory as a lazily backed
+/// Opens a sharded index directory as a lazily backed
 /// [`SimilarityEngine`]: the manifest and `core.bin` load now, shard
 /// files load on first use, each checksum-verified at that first touch.
 /// Pruning and mmap are both behaviour-preserving: rankings, H0 and VCP
@@ -1029,8 +1028,8 @@ pub fn open_sharded_with(
     Ok(engine)
 }
 
-/// Migrates a JSON snapshot (any readable format, v2–v4) to a sharded v6
-/// index directory. The JSON file is left untouched.
+/// Migrates a JSON snapshot to a sharded index directory. The JSON file
+/// is left untouched.
 pub fn migrate_json(
     json_path: impl AsRef<Path>,
     dir: impl AsRef<Path>,
@@ -1161,17 +1160,30 @@ mod tests {
         write_sharded(&engine, &dir, 2).unwrap();
         let path = dir.join(MANIFEST_FILE);
         let text = std::fs::read_to_string(&path).unwrap();
-        std::fs::write(
-            &path,
-            text.replace(
-                &format!("\"format_version\":{SHARDED_FORMAT_VERSION}"),
-                "\"format_version\":9",
-            ),
-        )
-        .unwrap();
+        let needle = format!("\"format_version\":{SHARDED_FORMAT_VERSION}");
+        std::fs::write(&path, text.replace(&needle, "\"format_version\":9")).unwrap();
         match open_sharded(&dir) {
             Err(IndexError::VersionMismatch { found: 9, expected, .. }) => {
                 assert_eq!(expected, SHARDED_FORMAT_VERSION);
+            }
+            other => panic!("expected VersionMismatch, got {other:?}"),
+        }
+        // A previous-version manifest embeds the old config shape (a
+        // nullable staged-pricing knob, the `enabled` switch), which no
+        // longer deserializes; the version check still comes first.
+        let prev = SHARDED_FORMAT_VERSION - 1;
+        let old_shape = text
+            .replace(&needle, &format!("\"format_version\":{prev}"))
+            .replace("\"ambiguity_window\":0.2", "\"ambiguity_window\":null")
+            .replace("\"vectors\":", "\"enabled\":true,\"vectors\":");
+        assert!(old_shape.contains("\"ambiguity_window\":null,"));
+        std::fs::write(&path, old_shape).unwrap();
+        match open_sharded(&dir) {
+            Err(e @ IndexError::VersionMismatch { found, expected, .. }) => {
+                assert_eq!((found, expected), (prev, SHARDED_FORMAT_VERSION));
+                let msg = e.to_string();
+                assert!(msg.contains(&format!("version {prev}")));
+                assert!(msg.contains(&format!("version {SHARDED_FORMAT_VERSION}")));
             }
             other => panic!("expected VersionMismatch, got {other:?}"),
         }

@@ -1,7 +1,7 @@
 //! Shard corruption on the lazy path: a byte flipped in a
 //! *not-yet-loaded* shard file must surface as a typed `Corrupted`
 //! error — naming the shard file — on the first query that touches the
-//! shard, while every other shard keeps serving. Under v6 sub-shard
+//! shard, while every other shard keeps serving. Under sub-shard
 //! demand decoding the blast radius shrinks further, to a single
 //! record: a byte flipped in an *undecoded neighbour record* fails only
 //! queries that actually price that record, with an error naming the
@@ -32,7 +32,7 @@ fn byte_flip_in_unloaded_shard_fails_only_queries_touching_it() {
     let mut engine = SimilarityEngine::new(EngineConfig {
         threads: 2,
         sketch: Some(PrefilterConfig {
-            refine_top_k: None,
+            refine_top_k: 0,
             ..PrefilterConfig::lsh_only()
         }),
         ..EngineConfig::default()
@@ -126,7 +126,7 @@ fn byte_flip_in_undecoded_neighbour_record_fails_only_queries_touching_it() {
     let mut engine = SimilarityEngine::new(EngineConfig {
         threads: 2,
         sketch: Some(PrefilterConfig {
-            refine_top_k: None,
+            refine_top_k: 0,
             ..PrefilterConfig::lsh_only()
         }),
         ..EngineConfig::default()

@@ -303,8 +303,8 @@ impl ServerStats {
         // Sub-shard demand decoding: decoded-vs-mapped byte gauges show
         // how much of the mapped corpus queries actually paid to decode,
         // and `partial` counts shards serving with raw neighbours still
-        // undecoded. Under `--whole-decode` (or a JSON snapshot)
-        // decoded == resident and partial stays 0.
+        // undecoded. Under eager whole-shard decode (or a JSON
+        // snapshot) decoded == resident and partial stays 0.
         out.push_str(&format!(
             "esh_shard_decoded_bytes {}\n",
             shards.decoded_bytes
@@ -343,7 +343,7 @@ pub struct StatsSnapshot {
     pub shutting_down: u64,
     /// Server-side faults (for example a corrupted index shard).
     pub internal: u64,
-    /// Request lines longer than [`crate::MAX_REQUEST_BYTES`] (each
+    /// Request lines longer than [`crate::protocol::MAX_REQUEST_BYTES`] (each
     /// closed its connection).
     pub request_too_large: u64,
     /// HTTP requests served by the metrics shim.

@@ -28,7 +28,8 @@ use serde::{Deserialize, Serialize};
 pub struct QueryRequest {
     /// Substring selecting the query procedure from the served corpus
     /// (same resolution rule as `esh query`). The reserved value
-    /// `@shutdown` asks the daemon to drain and exit.
+    /// `@shutdown` asks the daemon to drain and exit; only loopback
+    /// peers may send it.
     pub query: String,
     /// Maximum number of matches to return (server default when absent).
     pub top_n: Option<u64>,
@@ -61,7 +62,8 @@ pub enum Outcome {
     DeadlineExceeded,
     /// No corpus procedure matched the query substring.
     NotFound,
-    /// The request line was not a valid [`QueryRequest`].
+    /// The request line was not a valid [`QueryRequest`], or was an
+    /// `@shutdown` from a peer that is not on loopback.
     BadRequest,
     /// Acknowledges an `@shutdown` request; the daemon is draining.
     ShuttingDown,

@@ -11,7 +11,7 @@
 //! *pipelined*, so one socket may carry many newline-delimited requests
 //! and the reader keeps parsing while earlier requests are still being
 //! scored. Responses come back in request order per connection — a
-//! per-connection sequence number and reorder buffer ([`ConnWriter`])
+//! per-connection sequence number and reorder buffer (`ConnWriter`)
 //! guarantee it — so one-shot clients (one request, one response, close)
 //! keep working unchanged.
 //!
@@ -34,7 +34,8 @@
 //! work its batch-mates still want.
 //!
 //! Shutdown: `std` exposes no signal-handler API, so the drain is driven
-//! by a control request on the wire (`{"query":"@shutdown"}`) or by
+//! by a control request on the wire (`{"query":"@shutdown"}`, accepted
+//! only from a loopback peer; anyone else gets a `BadRequest`) or by
 //! [`Server::request_shutdown`] in-process. Either path sets the flag,
 //! wakes every thread, and self-connects once to unblock `accept`; the
 //! acceptor stops admitting, readers finish every connection already
@@ -44,7 +45,7 @@
 
 use std::collections::{BTreeMap, VecDeque};
 use std::io::{BufRead, BufReader, Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{IpAddr, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
@@ -414,6 +415,7 @@ fn reader_loop(shared: &Shared) {
 /// closes, the idle budget runs out, or the daemon drains.
 fn serve_connection(shared: &Shared, job: Job) {
     let Job { stream, admitted } = job;
+    let loopback = stream.peer_addr().is_ok_and(|peer| is_loopback_peer(&peer));
     let _ = stream.set_read_timeout(Some(READ_CHUNK));
     let Ok(mut read_half) = stream.try_clone() else {
         return;
@@ -450,7 +452,7 @@ fn serve_connection(shared: &Shared, job: Job) {
                 return; // the HTTP shim is Connection: close
             }
             first_request = false;
-            if !process_request(shared, &conn, &line, request_admitted) {
+            if !process_request(shared, &conn, &line, request_admitted, loopback) {
                 return; // @shutdown acknowledged; stop reading
             }
         }
@@ -496,16 +498,28 @@ fn reject_too_large(shared: &Shared, conn: &ConnWriter) {
     respond_now(shared, conn, seq, Instant::now(), response);
 }
 
+/// Whether a wire peer may send `@shutdown`: loopback addresses only,
+/// with IPv4-mapped IPv6 peers (`::ffff:127.0.0.1`) normalized first.
+fn is_loopback_peer(peer: &SocketAddr) -> bool {
+    let ip = match peer.ip() {
+        IpAddr::V6(v6) => v6.to_ipv4_mapped().map_or(IpAddr::V6(v6), IpAddr::V4),
+        ip => ip,
+    };
+    ip.is_loopback()
+}
+
 /// Dispatches one request line. Immediate outcomes (parse errors,
 /// unknown names, control requests, pending-queue overflow) are answered
 /// right here through the reorder buffer; real queries join the batch
-/// queue. Returns `false` when the connection should stop reading
+/// queue. `loopback` says whether the connection's peer may shut the
+/// daemon down. Returns `false` when the connection should stop reading
 /// (an `@shutdown` acknowledgement).
 fn process_request(
     shared: &Shared,
     conn: &Arc<ConnWriter>,
     line: &str,
     admitted: Instant,
+    loopback: bool,
 ) -> bool {
     let seq = conn.alloc_seq();
     let request = match serde_json::from_str::<QueryRequest>(line) {
@@ -518,6 +532,14 @@ fn process_request(
         Ok(request) => request,
     };
     if request.query == "@shutdown" {
+        if !loopback {
+            let response = QueryResponse::status(
+                Outcome::BadRequest,
+                Some("@shutdown is accepted only from loopback peers".to_string()),
+            );
+            respond_now(shared, conn, seq, admitted, response);
+            return true;
+        }
         shared.request_shutdown();
         let response = QueryResponse::status(Outcome::ShuttingDown, None);
         respond_now(shared, conn, seq, admitted, response);
@@ -788,4 +810,21 @@ fn reject(shared: &Shared, mut stream: TcpStream, outcome: Outcome, detail: &str
         let _ = stream.write_all(encode_line(&response).as_bytes());
     }
     let _ = stream.flush();
+}
+
+#[cfg(test)]
+mod tests {
+    use super::is_loopback_peer;
+    use std::net::SocketAddr;
+
+    #[test]
+    fn only_loopback_peers_may_shut_down() {
+        let peer = |s: &str| s.parse::<SocketAddr>().unwrap();
+        for ok in ["127.0.0.1:9", "127.3.2.1:9", "[::1]:9", "[::ffff:127.0.0.1]:9"] {
+            assert!(is_loopback_peer(&peer(ok)), "{ok} is loopback");
+        }
+        for remote in ["10.0.0.7:9", "0.0.0.0:9", "[2001:db8::1]:9", "[::ffff:10.0.0.7]:9"] {
+            assert!(!is_loopback_peer(&peer(remote)), "{remote} is not loopback");
+        }
+    }
 }

@@ -23,7 +23,7 @@
 //!   free.
 //! - Clause-database hygiene: when retained learnt clauses exceed
 //!   [`IncrementalLimits::reduce_learnts_at`], the lower-activity half of
-//!   long learnts is dropped ([`Solver::reduce_learnts`]). When the
+//!   long learnts is dropped ([`crate::sat::Solver::reduce_learnts`]). When the
 //!   instance outgrows the hard var/clause watermark, the whole solver is
 //!   discarded and rebuilt fresh — correctness never depends on reuse.
 

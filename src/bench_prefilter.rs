@@ -51,7 +51,7 @@ fn run_mode(corpus: &Corpus, queries: &[usize], sketch: bool) -> ModeRun {
         // sacrifice that bench exists to measure the recovery of.
         let mut config = EngineConfig::default();
         if let Some(sketch) = &mut config.sketch {
-            sketch.refine_top_k = None;
+            sketch.refine_top_k = 0;
         }
         config
     } else {

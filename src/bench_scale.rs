@@ -6,7 +6,7 @@
 //! ([`esh_corpus::scale::stream_scale_corpus_with_threads`]) straight
 //! into an engine running the pure-LSH scale profile
 //! ([`esh_core::PrefilterConfig::lsh_only`]), persists it as a sharded
-//! binary index (format v6) — plus a JSON snapshot (format v4) at sizes
+//! binary index — plus a JSON snapshot at sizes
 //! where parsing one is still tolerable — then measures what the scale
 //! tier exists to improve:
 //!
@@ -55,7 +55,7 @@ use esh_index::EshxOpenOptions;
 /// regression harness, not a fuzzer).
 const SEED: u64 = 0x5CA1E;
 
-/// Targets per shard for the persisted v6 indexes. Finer than the CLI
+/// Targets per shard for the persisted sharded indexes. Finer than the CLI
 /// default (64): whole-shard pruning is a per-shard all-or-nothing
 /// test, and on the digest-heavy synthetic corpus a 64-target shard
 /// almost always has at least one band collision with some query

@@ -8,12 +8,11 @@
 //! esh index build <corpus.json> <index.esh | index.eshx> [targets-per-shard]
 //! esh index migrate <index.esh> <index.eshx> [targets-per-shard]
 //! esh query --index <index.esh | index.eshx> <corpus.json> <query-substring>
-//!           [top_n] [--json] [--no-prefilter] [--whole-decode]
+//!           [top_n] [--json] [--no-prefilter]
 //! esh query --remote <addr> <query-substring> [top_n] [--json]
 //! esh serve --index <index.esh | index.eshx> <corpus.json> [--addr A] [--workers N]
 //!           [--queue N] [--deadline-ms N] [--threads N]
 //!           [--batch-max N] [--batch-window-ms N] [--shard-budget-mb N]
-//!           [--whole-decode]
 //! esh bench-serve [--smoke]
 //! esh bench-prefilter [--smoke]
 //! esh bench-rankquality [--smoke]
@@ -50,12 +49,11 @@
 //! The **scale tier**: `corpus gen` streams a seeded synthetic corpus
 //! (10k+ procedures across the 21-configuration compiler matrix) without
 //! materializing it in memory (`--threads` caps the compile pool); an
-//! index path ending in `.eshx` selects the sharded binary format (v6)
-//! whose shards mmap lazily at query time and decode *per procedure* on
-//! demand (`--whole-decode` reverts to eager whole-shard decode), can be
-//! skipped wholesale by the sketch-band sidecar, and are evicted LRU
-//! under `serve --shard-budget-mb`; `index migrate` upgrades an existing
-//! JSON snapshot in place; `bench-scale` measures build throughput,
+//! index path ending in `.eshx` selects the sharded binary format whose
+//! shards mmap lazily at query time and decode *per procedure* on demand,
+//! can be skipped wholesale by the sketch-band sidecar, and are evicted
+//! LRU under `serve --shard-budget-mb`; `index migrate` converts a JSON
+//! snapshot to the sharded format; `bench-scale` measures build throughput,
 //! cold-load time (mmap vs the `--no-mmap` buffered fallback), query
 //! latency (demand-decode vs whole-decode), whole-shard pruning and
 //! budgeted eviction at 1k/5k/10k/100k (`--max-procs` trims the ladder)
@@ -75,12 +73,11 @@ fn usage() -> ExitCode {
          esh index build <corpus.json> <index.esh | index.eshx> [targets-per-shard]\n  \
          esh index migrate <index.esh> <index.eshx> [targets-per-shard]\n  \
          esh query --index <index.esh | index.eshx> <corpus.json> <query-substring>\n  \
-         \x20         [top_n] [--json] [--no-prefilter] [--whole-decode]\n  \
+         \x20         [top_n] [--json] [--no-prefilter]\n  \
          esh query --remote <addr> <query-substring> [top_n] [--json]\n  \
          esh serve --index <index.esh | index.eshx> <corpus.json> [--addr A] [--workers N]\n  \
          \x20         [--queue N] [--deadline-ms N] [--threads N]\n  \
          \x20         [--batch-max N] [--batch-window-ms N] [--shard-budget-mb N]\n  \
-         \x20         [--whole-decode]\n  \
          esh bench-serve [--smoke]\n  \
          esh bench-prefilter [--smoke]\n  \
          esh bench-rankquality [--smoke]\n  \
@@ -339,24 +336,22 @@ fn corpus_cmd(args: &[String]) -> Result<(), String> {
 }
 
 fn query(args: &[String]) -> Result<(), String> {
-    // `--json` / `--no-prefilter` / `--whole-decode` may appear anywhere;
-    // strip them before positional matching.
+    // `--json` / `--no-prefilter` may appear anywhere; strip them before
+    // positional matching.
     let json = args.iter().any(|a| a == "--json");
     let no_prefilter = args.iter().any(|a| a == "--no-prefilter");
-    let whole_decode = args.iter().any(|a| a == "--whole-decode");
     let args: Vec<&String> = args
         .iter()
-        .filter(|a| *a != "--json" && *a != "--no-prefilter" && *a != "--whole-decode")
+        .filter(|a| *a != "--json" && *a != "--no-prefilter")
         .collect();
-    if (no_prefilter || whole_decode) && args.first().map(|a| a.as_str()) == Some("--remote") {
+    if no_prefilter && args.first().map(|a| a.as_str()) == Some("--remote") {
         return Err(
-            "--no-prefilter/--whole-decode apply to --index queries (the daemon owns its engine)"
-                .into(),
+            "--no-prefilter applies to --index queries (the daemon owns its engine)".into(),
         );
     }
     match args.as_slice() {
         [flag, index, corpus, needle] if *flag == "--index" => {
-            query_index(index, corpus, needle, 10, json, no_prefilter, whole_decode)
+            query_index(index, corpus, needle, 10, json, no_prefilter)
         }
         [flag, index, corpus, needle, n] if *flag == "--index" => query_index(
             index,
@@ -365,7 +360,6 @@ fn query(args: &[String]) -> Result<(), String> {
             n.parse().map_err(|_| format!("bad top_n `{n}`"))?,
             json,
             no_prefilter,
-            whole_decode,
         ),
         [flag, addr, needle] if *flag == "--remote" => query_remote(addr, needle, 10, json),
         [flag, addr, needle, n] if *flag == "--remote" => query_remote(
@@ -375,7 +369,7 @@ fn query(args: &[String]) -> Result<(), String> {
             json,
         ),
         _ => Err("query takes --index <index.esh> <corpus.json> <query-substring> [top_n] \
-                  [--json] [--no-prefilter] [--whole-decode], or --remote <addr> \
+                  [--json] [--no-prefilter], or --remote <addr> \
                   <query-substring> [top_n] [--json]"
             .into()),
     }
@@ -389,20 +383,13 @@ fn print_matches(matches: &[esh::serve::RankedMatch]) {
     }
 }
 
-/// Opens an index either way: sharded v6 directories load lazily,
-/// anything else is a JSON snapshot. Returns `(engine, sharded)` — a
-/// sharded index is immutable at query time, so callers must skip the
-/// warmed-cache write-back for it. `whole_decode` is the escape hatch
-/// that turns per-procedure demand decoding back into eager whole-shard
-/// decoding (ignored for JSON snapshots, which are always resident).
-fn open_index(index_path: &str, whole_decode: bool) -> Result<(SimilarityEngine, bool), String> {
+/// Opens an index either way: sharded directories load lazily, anything
+/// else is a JSON snapshot. Returns `(engine, sharded)` — a sharded index
+/// is immutable at query time, so callers must skip the warmed-cache
+/// write-back for it.
+fn open_index(index_path: &str) -> Result<(SimilarityEngine, bool), String> {
     if esh::index::is_sharded_index(index_path) {
-        let options = esh::index::EshxOpenOptions {
-            demand: !whole_decode,
-            ..Default::default()
-        };
-        let engine =
-            esh::index::open_sharded_with(index_path, options).map_err(|e| e.to_string())?;
+        let engine = esh::index::open_sharded(index_path).map_err(|e| e.to_string())?;
         Ok((engine, true))
     } else {
         let engine = SimilarityEngine::load(index_path).map_err(|e| e.to_string())?;
@@ -417,17 +404,15 @@ fn query_index(
     top_n: usize,
     json: bool,
     no_prefilter: bool,
-    whole_decode: bool,
 ) -> Result<(), String> {
     let corpus = load(corpus_path)?;
     let qi =
         find_proc(&corpus, needle).ok_or_else(|| format!("no procedure matching `{needle}`"))?;
     eprintln!("query: {}", corpus.procs[qi].display());
-    let (mut engine, sharded) = open_index(index_path, whole_decode)?;
+    let (mut engine, sharded) = open_index(index_path)?;
     // The escape hatch: answer this one query with the exhaustive engine.
     // The index's own configuration is restored before the snapshot is
     // written back, so the stored fingerprint is untouched.
-    let saved_sketch = engine.config().sketch;
     if no_prefilter {
         engine.set_prefilter_enabled(false);
     }
@@ -474,9 +459,8 @@ fn query_index(
     // verifier entirely. Sharded indexes are immutable at query time —
     // their persisted cache segments are the ones written at build.
     if !sharded {
-        if no_prefilter && saved_sketch.is_some_and(|s| s.enabled) {
-            engine.set_prefilter_enabled(true);
-        }
+        // Restores a tier `--no-prefilter` suspended; a no-op otherwise.
+        engine.set_prefilter_enabled(true);
         engine.save_with_cache(index_path).map_err(|e| e.to_string())?;
     }
     Ok(())
@@ -519,7 +503,6 @@ fn serve(args: &[String]) -> Result<(), String> {
     let mut corpus_path = None;
     let mut config = esh::serve::ServeConfig::default();
     let mut threads = 1usize;
-    let mut whole_decode = false;
     let mut it = args.iter();
     while let Some(arg) = it.next() {
         let mut value = |name: &str| {
@@ -562,7 +545,6 @@ fn serve(args: &[String]) -> Result<(), String> {
                         .map_err(|e| format!("--shard-budget-mb: {e}"))?,
                 )
             }
-            "--whole-decode" => whole_decode = true,
             path if corpus_path.is_none() => corpus_path = Some(path.to_string()),
             extra => return Err(format!("unexpected argument `{extra}`")),
         }
@@ -571,7 +553,7 @@ fn serve(args: &[String]) -> Result<(), String> {
     let corpus_path = corpus_path.ok_or("serve needs <corpus.json>")?;
 
     let corpus = load(&corpus_path)?;
-    let (mut engine, _sharded) = open_index(&index_path, whole_decode)?;
+    let (mut engine, _sharded) = open_index(&index_path)?;
     if engine.target_count() != corpus.procs.len() {
         return Err(format!(
             "index {} has {} targets but {} has {} procedures — rebuild with `esh index build`",
